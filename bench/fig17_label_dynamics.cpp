@@ -25,8 +25,8 @@
 int main() {
   using namespace mum;
 
-  bench::StudyConfig config = bench::default_study();
-  bench::Study study(config);
+  run::RunnerConfig config = bench::default_study();
+  run::Runner study(config);
   const int cycle = gen::cycle_of(2014, 6);
   gen::MonthContext ctx = study.internet().instantiate(cycle);
 
@@ -44,9 +44,8 @@ int main() {
     util::Rng rng(1);
     probe::TraceOptions options;
     options.reply_loss = 0.0;
-    const auto trace = probe::trace_route(monitor, *path, options, rng);
-    dataset::Snapshot snap;
-    snap.traces.push_back(trace);
+    dataset::SnapshotBatch snap;
+    probe::trace_route_into(monitor, *path, options, rng, snap.traces);
     study.ip2as().annotate(snap.traces);
     const auto extracted = lpr::extract_lsps(snap, study.ip2as());
     for (const auto& obs : extracted.observations) {
@@ -100,16 +99,16 @@ int main() {
     probe::TraceOptions options;
     options.reply_loss = 0.0;
     util::Rng rng(static_cast<std::uint64_t>(t) + 7);
-    const auto trace = probe::trace_route(monitor, *path, options, rng);
+    dataset::TraceBatch batch;
+    probe::trace_route_into(monitor, *path, options, rng, batch);
+    const dataset::TraceView trace = batch.view(0);
 
     std::uint32_t l1 = 0, l2 = 0;
-    for (const auto& hop : trace.hops) {
-      if (hop.addr == lsr_addrs[0] && hop.has_labels()) {
-        l1 = hop.labels.top().label();
-      }
-      if (hop.addr == lsr_addrs[1] && hop.has_labels()) {
-        l2 = hop.labels.top().label();
-      }
+    for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+      const dataset::HopView hop = trace.hop(k);
+      if (!hop.has_labels()) continue;
+      if (hop.addr() == lsr_addrs[0]) l1 = hop.labels().front();
+      if (hop.addr() == lsr_addrs[1]) l2 = hop.labels().front();
     }
     table.add_row({std::to_string(t), std::to_string(l1),
                    std::to_string(l2)});

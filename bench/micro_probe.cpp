@@ -1,21 +1,19 @@
-// Measurement-path throughput: observation -> trace storage -> annotate ->
-// pack serialization -> ingest, legacy heap Traces vs the arena-backed SoA
-// TraceBatch (DESIGN.md Sec. 14). Forwarding walks are precomputed once —
-// the network simulation is the workload's input, not the measurement path
-// this PR optimizes — so the gated pair isolates exactly the stages the
-// batch rebuild touched. Reports traces/s (SetItemsProcessed) and heap
-// allocations per trace via a global operator-new counting hook;
-// scripts/bench.sh records both in BENCH_PR9.json and gates the batch path
-// at >= 3x the legacy traces/s and >= 10x fewer allocations per trace.
-// BM_CampaignSnapshot* additionally time the full snapshot (routing + walk
-// included) as ungated context for the end-to-end win.
+// Measurement-path throughput: observation -> arena-backed SoA TraceBatch
+// -> annotate -> pack serialization -> ingest (DESIGN.md Sec. 14).
+// Forwarding walks are precomputed once — the network simulation is the
+// workload's input, not the measurement path — so the gated benchmark
+// isolates exactly the stages that touch trace storage. Reports traces/s
+// (SetItemsProcessed) and heap allocations per trace via a global
+// operator-new counting hook; scripts/bench.sh gates both against absolute
+// bounds taken from the heap-trace path's committed BENCH_PR9.json row.
+// BM_CampaignSnapshotBatch additionally times the full snapshot (routing +
+// walk included) as ungated context.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -148,58 +146,6 @@ const Corpus& corpus() {
   return c;
 }
 
-// Legacy measurement path: one heap Trace per probe (hop vector growth per
-// trace), per-hop trie annotate, per-record pack encode, full Trace
-// materialization on ingest. This is the pre-PR path, kept in-tree as the
-// batch oracle (gen::CampaignConfig::batch = false).
-void BM_MeasurementPathLegacy(benchmark::State& state) {
-  const Corpus& c = corpus();
-  const auto& monitors = c.internet.monitors();
-  const probe::TraceOptions options;
-
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    const util::Rng noise_base(0xBEEF);
-    dataset::Snapshot snap;
-    snap.cycle_id = 50;
-    snap.date = "2010-03";
-    // Same block-then-merge shape as the pre-PR campaign loop: each monitor
-    // grows its own trace vector, blocks concatenate in monitor order.
-    std::vector<std::vector<dataset::Trace>> blocks(monitors.size());
-    for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
-      util::Rng rng = noise_base.fork(mi);
-      for (const ProbeInput& probe : c.by_monitor[mi]) {
-        blocks[mi].push_back(probe::observe_walk(monitors[mi], probe.dst,
-                                                 options, rng, probe.walk));
-      }
-    }
-    snap.traces.reserve(c.traces);
-    for (auto& block : blocks) {
-      for (auto& trace : block) snap.traces.push_back(std::move(trace));
-    }
-    c.ip2as.annotate(std::span<dataset::Trace>(snap.traces));
-    const std::string bytes = dataset::serialize_pack(snap);
-    const auto back = dataset::parse_pack(bytes);
-    if (!back || back->traces.size() != c.traces) {
-      state.SkipWithError("legacy round-trip lost traces");
-      break;
-    }
-    benchmark::DoNotOptimize(back->traces.data());
-  }
-  const std::uint64_t allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  const auto items = static_cast<std::int64_t>(state.iterations()) *
-                     static_cast<std::int64_t>(c.traces);
-  state.SetItemsProcessed(items);
-  if (items > 0) {
-    state.counters["allocs_per_trace"] =
-        static_cast<double>(allocs) / static_cast<double>(items);
-  }
-  state.SetLabel(std::to_string(c.traces) + " traces/snapshot");
-}
-BENCHMARK(BM_MeasurementPathLegacy)->Unit(benchmark::kMillisecond);
-
 // Batch measurement path: traces land as SoA columns in one reused arena
 // (steady state allocates nothing), memoized column annotate, column-memcpy
 // pack serialization, zero-copy column ingest.
@@ -234,7 +180,7 @@ void BM_MeasurementPathBatch(benchmark::State& state) {
       state.SkipWithError("batch pack failed to open");
       break;
     }
-    const dataset::SnapshotBatch back = view->to_snapshot_batch();
+    const dataset::SnapshotBatch back = view->snapshot();
     if (back.trace_count() != c.traces) {
       state.SkipWithError("batch round-trip lost traces");
       break;
@@ -255,25 +201,7 @@ void BM_MeasurementPathBatch(benchmark::State& state) {
 BENCHMARK(BM_MeasurementPathBatch)->Unit(benchmark::kMillisecond);
 
 // Context (not gated): the full campaign snapshot including AS routing and
-// the forwarding walk — the shared simulation floor both paths pay.
-void BM_CampaignSnapshotLegacy(benchmark::State& state) {
-  const Corpus& c = corpus();
-  gen::CampaignConfig config;
-  config.batch = false;
-  const gen::CampaignRunner campaign(c.internet, c.ip2as, config);
-  auto ctx = c.internet.instantiate(50);
-
-  std::uint64_t traces = 0;
-  for (auto _ : state) {
-    const dataset::Snapshot snap = campaign.snapshot(ctx, 50, 0);
-    traces = snap.traces.size();
-    benchmark::DoNotOptimize(snap.traces.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(traces));
-}
-BENCHMARK(BM_CampaignSnapshotLegacy)->Unit(benchmark::kMillisecond);
-
+// the forwarding walk — the simulation floor under the measurement path.
 void BM_CampaignSnapshotBatch(benchmark::State& state) {
   const Corpus& c = corpus();
   const gen::CampaignRunner campaign(c.internet, c.ip2as);
@@ -281,7 +209,7 @@ void BM_CampaignSnapshotBatch(benchmark::State& state) {
 
   std::uint64_t traces = 0;
   for (auto _ : state) {
-    const dataset::SnapshotBatch snap = campaign.snapshot_batch(ctx, 50, 0);
+    const dataset::SnapshotBatch snap = campaign.snapshot(ctx, 50, 0);
     traces = snap.trace_count();
     benchmark::DoNotOptimize(snap.traces.hop_addr_col().data());
   }

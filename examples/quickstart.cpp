@@ -42,8 +42,10 @@ int main(int argc, char** argv) {
             << month.snapshots.size() << " snapshots\n";
 
   // Show one trace crossing an MPLS tunnel.
-  for (const dataset::Trace& trace : month.cycle().traces) {
-    if (trace.crosses_explicit_tunnel() && trace.reached) {
+  const dataset::TraceBatch& traces = month.cycle().traces;
+  for (std::size_t i = 0; i < traces.trace_count(); ++i) {
+    const dataset::TraceView trace = traces.view(i);
+    if (trace.crosses_explicit_tunnel() && trace.reached()) {
       std::cout << "\nSample trace with an explicit MPLS tunnel:\n"
                 << dataset::to_text(trace) << '\n';
       break;

@@ -2,8 +2,8 @@
 # Tier-1 gate: full build + test suite, then a ThreadSanitizer pass over the
 # parallel execution layer (tests/test_parallel) to catch data races the
 # functional tests cannot, then an ASan+UBSan pass over the tolerant-ingest
-# layer (decoder fuzz corpus + chaos tests) to catch memory errors arbitrary
-# bytes could trigger. On top of that: a failpoint matrix (every io fault
+# layer (decoder fuzz corpus + chaos, dataset and batch tests) to catch
+# memory errors arbitrary bytes could trigger. On top of that: a failpoint matrix (every io fault
 # class injected at 2% must leave a campaign contained) and a kill/resume
 # torture loop (real process kills at fixed io-op ordinals; resumed runs
 # must be byte-identical to an uninterrupted one).
@@ -73,7 +73,8 @@ cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # trace paths get raced for real. test_evolve races the DeltaEvolver's
 # per-AS delta fan-out and the evolved runner at 16 threads. test_batch
 # races the arena-backed shard batches (one arena per monitor, merged in
-# monitor order) against the legacy oracle at 16 threads.
+# monitor order) at 16 threads and checks the reports against pinned
+# digests.
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --target test_evolve --target test_batch
 "$tsan_build/tests/test_parallel"
@@ -83,12 +84,15 @@ cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
 
 echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
-# test_batch's damaged-pack ingest and the fuzzer's batch round-trip arm
-# both drive the zero-copy column views over hostile bytes.
+# test_batch's damaged-pack ingest and the fuzzer's round-trip arm both
+# drive the zero-copy column views over hostile bytes; test_dataset's
+# tolerant-decode corpora drive the v2 decoder's framing and fill passes
+# into batch columns; test_chaos drives the columnar corruptor.
 cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
-  --target test_batch
+  --target test_batch --target test_dataset
 "$asan_build/tools/fuzz_warts" --iters 10000
 "$asan_build/tests/test_chaos"
 "$asan_build/tests/test_batch"
+"$asan_build/tests/test_dataset"
 
 echo "== tier-1: OK =="

@@ -1,8 +1,8 @@
 #include "chaos/chaos.h"
 
-#include <algorithm>
 #include <charconv>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "obs/telemetry.h"
@@ -34,6 +34,91 @@ std::optional<double> parse_rate(std::string_view text) {
   if (percent) value /= 100.0;
   if (value < 0.0 || value > 1.0) return std::nullopt;
   return value;
+}
+
+// Sinks for rewrite_traces: the dry run counts the rewritten batch, the
+// real run writes it.
+struct CountSink {
+  std::size_t traces = 0;
+  std::size_t hops = 0;
+  std::size_t lses = 0;
+  void begin(const dataset::TraceView&) { ++traces; }
+  void hop(const dataset::HopView&, std::size_t depth, std::uint32_t) {
+    ++hops;
+    lses += depth;
+  }
+  void end(const dataset::TraceView&) {}
+};
+
+struct WriteSink {
+  dataset::TraceBatch& out;
+  void begin(const dataset::TraceView& t) {
+    out.begin_trace(t.monitor_id(), t.src(), t.dst(), t.dst_asn());
+  }
+  void hop(const dataset::HopView& hop, std::size_t depth, std::uint32_t asn) {
+    out.add_hop(hop.addr(), hop.rtt_ms(), asn);
+    for (const std::uint32_t word : hop.lse_words().first(depth)) {
+      out.add_label(word);
+    }
+  }
+  void end(const dataset::TraceView& t) { out.end_trace(t.reached()); }
+};
+
+// The per-trace structural draws over every trace whose monitor survived.
+// Each output hop reaches the sink as (source hop, kept label depth, asn):
+// duplication and reordering permute source hops, stack faults keep a
+// prefix of the quoted stack, and ip2as faults replace the annotation.
+template <class Sink>
+void rewrite_traces(const ChaosConfig& config, const dataset::TraceBatch& in,
+                    const std::set<std::uint32_t>& dead, util::Rng& rng,
+                    ChaosStats& stats, Sink& sink) {
+  std::vector<std::size_t> order;  // source hop index of each output hop
+  for (std::size_t i = 0; i < in.trace_count(); ++i) {
+    const dataset::TraceView t = in.view(i);
+    if (dead.contains(t.monitor_id())) continue;
+    order.clear();
+    for (std::size_t k = 0; k < t.hop_count(); ++k) {
+      order.push_back(t.first_hop() + k);
+    }
+    if (config.duplicate_ttl > 0 && !order.empty() &&
+        rng.chance(config.duplicate_ttl)) {
+      const auto at = static_cast<std::size_t>(rng.below(order.size()));
+      const std::size_t dup = order[at];
+      order.insert(order.begin() + static_cast<std::ptrdiff_t>(at), dup);
+      ++stats.hops_duplicated;
+    }
+    if (config.reorder_ttl > 0 && order.size() >= 2 &&
+        rng.chance(config.reorder_ttl)) {
+      const auto at = static_cast<std::size_t>(rng.below(order.size() - 1));
+      std::swap(order[at], order[at + 1]);
+      ++stats.hops_reordered;
+    }
+    sink.begin(t);
+    for (const std::size_t h : order) {
+      const dataset::HopView hop(&in, h);
+      std::size_t depth = hop.label_depth();
+      if (depth > 0) {
+        if (config.drop_extension > 0 && rng.chance(config.drop_extension)) {
+          depth = 0;
+          ++stats.extensions_dropped;
+        } else if (config.truncate_stack > 0 &&
+                   rng.chance(config.truncate_stack)) {
+          // Keep a strict prefix of the stack (possibly empty).
+          depth = static_cast<std::size_t>(rng.below(depth));
+          ++stats.stacks_truncated;
+        }
+      }
+      std::uint32_t asn = hop.asn();
+      if (config.bogus_ip2as > 0 && !hop.anonymous() && asn != 0 &&
+          rng.chance(config.bogus_ip2as)) {
+        // Remap into a private-use ASN no generated AS occupies.
+        asn = 64512 + static_cast<std::uint32_t>(rng.below(1024));
+        ++stats.asns_scrambled;
+      }
+      sink.hop(hop, depth, asn);
+    }
+    sink.end(t);
+  }
 }
 
 }  // namespace
@@ -192,75 +277,42 @@ ChaosStats& ChaosStats::merge(const ChaosStats& other) noexcept {
   return *this;
 }
 
-void Corruptor::corrupt(dataset::Snapshot& snapshot) {
+void Corruptor::corrupt(dataset::SnapshotBatch& snapshot) {
   if (!config_.any_structural()) return;
   util::Rng rng(util::hash_combine(
       config_.seed,
       util::hash_combine(kStructuralTag,
                          util::hash_combine(snapshot.cycle_id,
                                             snapshot.sub_index))));
+  const dataset::TraceBatch& in = snapshot.traces;
 
   // Monitor blackouts first: a dead monitor contributes nothing, so its
   // traces must not consume per-trace draws (keeps the surviving traces'
   // corruption independent of which monitors died).
+  std::set<std::uint32_t> dead;
   if (config_.monitor_blackout > 0) {
-    std::set<std::uint32_t> fleet;
-    for (const dataset::Trace& t : snapshot.traces) fleet.insert(t.monitor_id);
-    std::set<std::uint32_t> dead;
+    const auto monitors = in.monitor_col();
+    const std::set<std::uint32_t> fleet(monitors.begin(), monitors.end());
     for (const std::uint32_t monitor : fleet) {
       if (rng.chance(config_.monitor_blackout)) dead.insert(monitor);
     }
-    if (!dead.empty()) {
-      const std::size_t before = snapshot.traces.size();
-      std::erase_if(snapshot.traces, [&](const dataset::Trace& t) {
-        return dead.contains(t.monitor_id);
-      });
-      stats_.monitors_blacked_out += dead.size();
-      stats_.traces_dropped += before - snapshot.traces.size();
+    stats_.monitors_blacked_out += dead.size();
+    for (const std::uint32_t monitor : monitors) {
+      if (dead.contains(monitor)) ++stats_.traces_dropped;
     }
   }
 
-  for (dataset::Trace& trace : snapshot.traces) {
-    if (config_.duplicate_ttl > 0 && !trace.hops.empty() &&
-        rng.chance(config_.duplicate_ttl)) {
-      const std::size_t at =
-          static_cast<std::size_t>(rng.below(trace.hops.size()));
-      trace.hops.insert(trace.hops.begin() + static_cast<std::ptrdiff_t>(at),
-                        trace.hops[at]);
-      ++stats_.hops_duplicated;
-    }
-    if (config_.reorder_ttl > 0 && trace.hops.size() >= 2 &&
-        rng.chance(config_.reorder_ttl)) {
-      const std::size_t at =
-          static_cast<std::size_t>(rng.below(trace.hops.size() - 1));
-      std::swap(trace.hops[at], trace.hops[at + 1]);
-      ++stats_.hops_reordered;
-    }
-    for (dataset::TraceHop& hop : trace.hops) {
-      if (hop.has_labels()) {
-        if (config_.drop_extension > 0 &&
-            rng.chance(config_.drop_extension)) {
-          hop.labels = net::LabelStack();
-          ++stats_.extensions_dropped;
-        } else if (config_.truncate_stack > 0 &&
-                   rng.chance(config_.truncate_stack)) {
-          // Keep a strict prefix of the stack (possibly empty).
-          const auto entries = hop.labels.entries();
-          const auto keep =
-              static_cast<std::size_t>(rng.below(hop.labels.depth()));
-          hop.labels = net::LabelStack(std::vector<net::LabelStackEntry>(
-              entries.begin(), entries.begin() + keep));
-          ++stats_.stacks_truncated;
-        }
-      }
-      if (config_.bogus_ip2as > 0 && !hop.anonymous() && hop.asn != 0 &&
-          rng.chance(config_.bogus_ip2as)) {
-        // Remap into a private-use ASN no generated AS occupies.
-        hop.asn = 64512 + static_cast<std::uint32_t>(rng.below(1024));
-        ++stats_.asns_scrambled;
-      }
-    }
-  }
+  // A dry run of the draws on a copy of the stream sizes the rewritten
+  // batch, so its columns are reserved once instead of grown by doubling.
+  util::Rng dry_rng = rng;
+  ChaosStats dry_stats;
+  CountSink count;
+  rewrite_traces(config_, in, dead, dry_rng, dry_stats, count);
+  dataset::TraceBatch out;
+  out.reserve(count.traces, count.hops, count.lses);
+  WriteSink write{out};
+  rewrite_traces(config_, in, dead, rng, stats_, write);
+  snapshot.traces = std::move(out);
 }
 
 void Corruptor::corrupt_bytes(std::string& bytes, std::uint64_t key) {

@@ -7,51 +7,16 @@ namespace mum::lpr {
 
 namespace {
 
-// The extraction walk is templated over a per-trace adaptor so the heap
-// Trace and the columnar TraceView run the identical algorithm (identical
-// control flow ⇒ identical observations and stats, which the oracle tests
-// assert). An adaptor exposes:
-//
-//   hop_count(), anonymous(k), has_labels(k), addr(k), asn(k), labels(k),
-//   monitor_id(), dst(), dst_asn()
-struct AosTraceRef {
-  const dataset::Trace& t;
-
-  std::size_t hop_count() const { return t.hops.size(); }
-  bool anonymous(std::size_t k) const { return t.hops[k].anonymous(); }
-  bool has_labels(std::size_t k) const { return t.hops[k].has_labels(); }
-  net::Ipv4Addr addr(std::size_t k) const { return t.hops[k].addr; }
-  std::uint32_t asn(std::size_t k) const { return t.hops[k].asn; }
-  std::vector<std::uint32_t> labels(std::size_t k) const {
-    return t.hops[k].labels.labels();
-  }
-  std::uint32_t monitor_id() const { return t.monitor_id; }
-  net::Ipv4Addr dst() const { return t.dst; }
-  std::uint32_t dst_asn() const { return t.dst_asn; }
-};
-
-struct BatchTraceRef {
-  dataset::TraceView v;
-
-  std::size_t hop_count() const { return v.hop_count(); }
-  bool anonymous(std::size_t k) const { return v.hop(k).anonymous(); }
-  bool has_labels(std::size_t k) const { return v.hop(k).has_labels(); }
-  net::Ipv4Addr addr(std::size_t k) const { return v.hop(k).addr(); }
-  std::uint32_t asn(std::size_t k) const { return v.hop(k).asn(); }
-  std::vector<std::uint32_t> labels(std::size_t k) const {
-    return v.hop(k).labels();
-  }
-  std::uint32_t monitor_id() const { return v.monitor_id(); }
-  net::Ipv4Addr dst() const { return v.dst(); }
-  std::uint32_t dst_asn() const { return v.dst_asn(); }
-};
+using AddrSet = std::unordered_set<net::Ipv4Addr>;
+using AsAddrSets = std::unordered_map<std::uint32_t, AddrSet>;
 
 // Majority ASN of the labeled run; 0 when hops map to no AS at all.
-template <class T>
-std::uint32_t run_asn(const T& hops, std::size_t first, std::size_t last) {
+std::uint32_t run_asn(const dataset::TraceView& t, std::size_t first,
+                      std::size_t last) {
   std::unordered_map<std::uint32_t, int> votes;
   for (std::size_t i = first; i <= last; ++i) {
-    if (hops.asn(i) != dataset::kUnknownAsn) ++votes[hops.asn(i)];
+    const std::uint32_t asn = t.hop(i).asn();
+    if (asn != dataset::kUnknownAsn) ++votes[asn];
   }
   std::uint32_t best = 0;
   int best_votes = 0;
@@ -65,33 +30,32 @@ std::uint32_t run_asn(const T& hops, std::size_t first, std::size_t last) {
 }
 
 // True when every mapped hop of the run has ASN `asn`.
-template <class T>
-bool run_is_intra_as(const T& hops, std::size_t first, std::size_t last,
-                     std::uint32_t asn) {
+bool run_is_intra_as(const dataset::TraceView& t, std::size_t first,
+                     std::size_t last, std::uint32_t asn) {
   for (std::size_t i = first; i <= last; ++i) {
-    if (hops.asn(i) != dataset::kUnknownAsn && hops.asn(i) != asn) {
-      return false;
-    }
+    const std::uint32_t hop_asn = t.hop(i).asn();
+    if (hop_asn != dataset::kUnknownAsn && hop_asn != asn) return false;
   }
   return true;
 }
 
-template <class T>
-void extract_from_trace(const T& hops, const dataset::Ip2As& ip2as,
-                        ExtractedSnapshot& out,
-                        std::unordered_set<net::Ipv4Addr>& mpls_addrs,
-                        std::unordered_set<net::Ipv4Addr>& all_addrs) {
+void extract_from_trace(const dataset::TraceView& t,
+                        const dataset::Ip2As& ip2as, ExtractedSnapshot& out,
+                        AddrSet& mpls_addrs, AddrSet& all_addrs) {
   ++out.stats.traces_total;
   bool saw_tunnel = false;
 
-  const std::size_t n = hops.hop_count();
+  const std::size_t n = t.hop_count();
+  const auto anonymous = [&](std::size_t k) { return t.hop(k).anonymous(); };
+  const auto has_labels = [&](std::size_t k) { return t.hop(k).has_labels(); };
+  const auto addr = [&](std::size_t k) { return t.hop(k).addr(); };
   for (std::size_t k = 0; k < n; ++k) {
-    if (!hops.anonymous(k)) all_addrs.insert(hops.addr(k));
+    if (!anonymous(k)) all_addrs.insert(addr(k));
   }
 
   std::size_t i = 0;
   while (i < n) {
-    if (!hops.has_labels(i)) {
+    if (!has_labels(i)) {
       ++i;
       continue;
     }
@@ -101,10 +65,9 @@ void extract_from_trace(const T& hops, const dataset::Ip2As& ip2as,
     std::size_t last = i;
     bool run_has_anonymous = false;
     while (last + 1 < n) {
-      if (hops.has_labels(last + 1)) {
+      if (has_labels(last + 1)) {
         ++last;
-      } else if (hops.anonymous(last + 1) && last + 2 < n &&
-                 hops.has_labels(last + 2)) {
+      } else if (anonymous(last + 1) && last + 2 < n && has_labels(last + 2)) {
         // '*' wedged between labeled hops: the run continues but is
         // incomplete in the traceroute sense.
         run_has_anonymous = true;
@@ -118,96 +81,47 @@ void extract_from_trace(const T& hops, const dataset::Ip2As& ip2as,
     saw_tunnel = true;
     ++out.stats.lsps_observed;
     for (std::size_t k = first; k <= last; ++k) {
-      if (!hops.anonymous(k)) mpls_addrs.insert(hops.addr(k));
+      if (!anonymous(k)) mpls_addrs.insert(addr(k));
     }
 
     // Completeness: need both endpoint hops, responding, and no '*' inside.
-    const bool has_ingress = first > 0 && !hops.anonymous(first - 1);
-    const bool has_exit = last + 1 < n && !hops.anonymous(last + 1);
+    const bool has_ingress = first > 0 && !anonymous(first - 1);
+    const bool has_exit = last + 1 < n && !anonymous(last + 1);
     if (run_has_anonymous || !has_ingress || !has_exit) {
       ++out.stats.lsps_incomplete;
       continue;
     }
 
-    const std::uint32_t asn = run_asn(hops, first, last);
+    const std::uint32_t asn = run_asn(t, first, last);
     LspObservation obs;
-    obs.dst_asn = hops.dst_asn() != 0 ? hops.dst_asn()
-                                      : ip2as.lookup(hops.dst());
-    obs.monitor_id = hops.monitor_id();
-    obs.lsp.ingress = hops.addr(first - 1);
+    obs.dst_asn = t.dst_asn() != 0 ? t.dst_asn() : ip2as.lookup(t.dst());
+    obs.monitor_id = t.monitor_id();
+    obs.lsp.ingress = addr(first - 1);
     // Mark multi-AS runs with asn=0 so the IntraAS filter rejects them.
-    obs.lsp.asn = run_is_intra_as(hops, first, last, asn) ? asn : 0;
+    obs.lsp.asn = run_is_intra_as(t, first, last, asn) ? asn : 0;
 
     // Exit point: the hop after the run when it still belongs to the
     // tunnel's AS (PHP), else the last labeled hop (non-PHP egress).
-    if (hops.asn(last + 1) == obs.lsp.asn && obs.lsp.asn != 0) {
-      obs.lsp.egress = hops.addr(last + 1);
+    if (t.hop(last + 1).asn() == obs.lsp.asn && obs.lsp.asn != 0) {
+      obs.lsp.egress = addr(last + 1);
       obs.lsp.egress_labeled = false;
     } else {
-      obs.lsp.egress = hops.addr(last);
+      obs.lsp.egress = addr(last);
       obs.lsp.egress_labeled = true;
     }
 
     obs.lsp.lsrs.reserve(last - first + 1);
     for (std::size_t k = first; k <= last; ++k) {
-      if (hops.anonymous(k)) continue;
+      if (anonymous(k)) continue;
       LsrHop lsr;
-      lsr.addr = hops.addr(k);
-      lsr.labels = hops.labels(k);
+      lsr.addr = addr(k);
+      lsr.labels = t.hop(k).labels();
       obs.lsp.lsrs.push_back(std::move(lsr));
     }
     out.observations.push_back(std::move(obs));
   }
 
   if (saw_tunnel) ++out.stats.traces_with_explicit_tunnel;
-}
-
-template <class T>
-void census_from_trace(
-    const T& hops,
-    std::unordered_map<std::uint32_t, std::unordered_set<net::Ipv4Addr>>& mpls,
-    std::unordered_map<std::uint32_t, std::unordered_set<net::Ipv4Addr>>&
-        plain) {
-  const std::size_t n = hops.hop_count();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (hops.anonymous(k) || hops.asn(k) == dataset::kUnknownAsn) continue;
-    if (hops.has_labels(k)) {
-      mpls[hops.asn(k)].insert(hops.addr(k));
-    } else {
-      plain[hops.asn(k)].insert(hops.addr(k));
-    }
-  }
-}
-
-std::unordered_map<std::uint32_t, AsIpCensus> census_finish(
-    const std::unordered_map<std::uint32_t,
-                             std::unordered_set<net::Ipv4Addr>>& mpls,
-    const std::unordered_map<std::uint32_t,
-                             std::unordered_set<net::Ipv4Addr>>& plain) {
-  std::unordered_map<std::uint32_t, AsIpCensus> out;
-  for (const auto& [asn, addrs] : mpls) out[asn].mpls_ips = addrs.size();
-  for (const auto& [asn, addrs] : plain) {
-    auto& census = out[asn];
-    // Count an address as non-MPLS only if it never appeared labeled.
-    const auto it = mpls.find(asn);
-    for (const auto& addr : addrs) {
-      if (it == mpls.end() || !it->second.contains(addr)) {
-        ++census.non_mpls_ips;
-      }
-    }
-  }
-  return out;
-}
-
-void extract_finish(ExtractedSnapshot& out,
-                    const std::unordered_set<net::Ipv4Addr>& mpls_addrs,
-                    const std::unordered_set<net::Ipv4Addr>& all_addrs) {
-  out.stats.mpls_ips = mpls_addrs.size();
-  std::uint64_t non_mpls = 0;
-  for (const auto& addr : all_addrs) {
-    if (!mpls_addrs.contains(addr)) ++non_mpls;
-  }
-  out.stats.non_mpls_ips = non_mpls;
 }
 
 }  // namespace
@@ -222,22 +136,6 @@ ExtractStats& ExtractStats::merge(const ExtractStats& other) noexcept {
   return *this;
 }
 
-ExtractedSnapshot extract_lsps(const dataset::Snapshot& snapshot,
-                               const dataset::Ip2As& ip2as) {
-  ExtractedSnapshot out;
-  out.cycle_id = snapshot.cycle_id;
-  out.sub_index = snapshot.sub_index;
-  out.date = snapshot.date;
-
-  std::unordered_set<net::Ipv4Addr> mpls_addrs;
-  std::unordered_set<net::Ipv4Addr> all_addrs;
-  for (const dataset::Trace& trace : snapshot.traces) {
-    extract_from_trace(AosTraceRef{trace}, ip2as, out, mpls_addrs, all_addrs);
-  }
-  extract_finish(out, mpls_addrs, all_addrs);
-  return out;
-}
-
 ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
                                const dataset::Ip2As& ip2as) {
   ExtractedSnapshot out;
@@ -245,36 +143,43 @@ ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
   out.sub_index = snapshot.sub_index;
   out.date = snapshot.date;
 
-  std::unordered_set<net::Ipv4Addr> mpls_addrs;
-  std::unordered_set<net::Ipv4Addr> all_addrs;
-  const std::size_t n = snapshot.traces.trace_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    extract_from_trace(BatchTraceRef{snapshot.traces.view(i)}, ip2as, out,
-                       mpls_addrs, all_addrs);
+  AddrSet mpls_addrs;
+  AddrSet all_addrs;
+  for (std::size_t i = 0; i < snapshot.trace_count(); ++i) {
+    extract_from_trace(snapshot.traces.view(i), ip2as, out, mpls_addrs,
+                       all_addrs);
   }
-  extract_finish(out, mpls_addrs, all_addrs);
+  out.stats.mpls_ips = mpls_addrs.size();
+  for (const auto& addr : all_addrs) {
+    if (!mpls_addrs.contains(addr)) ++out.stats.non_mpls_ips;
+  }
   return out;
 }
 
 std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
-    const dataset::Snapshot& snapshot) {
-  std::unordered_map<std::uint32_t, std::unordered_set<net::Ipv4Addr>> mpls;
-  std::unordered_map<std::uint32_t, std::unordered_set<net::Ipv4Addr>> plain;
-  for (const dataset::Trace& trace : snapshot.traces) {
-    census_from_trace(AosTraceRef{trace}, mpls, plain);
-  }
-  return census_finish(mpls, plain);
-}
-
-std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
     const dataset::SnapshotBatch& snapshot) {
-  std::unordered_map<std::uint32_t, std::unordered_set<net::Ipv4Addr>> mpls;
-  std::unordered_map<std::uint32_t, std::unordered_set<net::Ipv4Addr>> plain;
-  const std::size_t n = snapshot.traces.trace_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    census_from_trace(BatchTraceRef{snapshot.traces.view(i)}, mpls, plain);
+  AsAddrSets mpls;
+  AsAddrSets plain;
+  const dataset::TraceBatch& b = snapshot.traces;
+  for (std::size_t h = 0; h < b.hop_count(); ++h) {
+    const dataset::HopView hop(&b, h);
+    if (hop.anonymous() || hop.asn() == dataset::kUnknownAsn) continue;
+    (hop.has_labels() ? mpls : plain)[hop.asn()].insert(hop.addr());
   }
-  return census_finish(mpls, plain);
+
+  std::unordered_map<std::uint32_t, AsIpCensus> out;
+  for (const auto& [asn, addrs] : mpls) out[asn].mpls_ips = addrs.size();
+  for (const auto& [asn, addrs] : plain) {
+    auto& census = out[asn];
+    // Count an address as non-MPLS only if it never appeared labeled.
+    const auto it = mpls.find(asn);
+    for (const auto& addr : addrs) {
+      if (it == mpls.end() || !it->second.contains(addr)) {
+        ++census.non_mpls_ips;
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace mum::lpr

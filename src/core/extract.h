@@ -21,7 +21,6 @@
 
 #include "core/model.h"
 #include "dataset/ip2as.h"
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 
 namespace mum::lpr {
@@ -50,14 +49,10 @@ struct ExtractedSnapshot {
   ExtractStats stats;
 };
 
-// Extract all complete explicit LSPs from an annotated snapshot. Traces must
-// have been annotated with Ip2As first (hop ASNs are consumed here); the
-// `ip2as` reference is used for endpoint resolution of unmapped hops.
-ExtractedSnapshot extract_lsps(const dataset::Snapshot& snapshot,
-                               const dataset::Ip2As& ip2as);
-// Batch form: identical algorithm over TraceView/HopView spans — no Trace
-// materialization. Produces the same observations and stats as running the
-// heap overload on snapshot.to_snapshot().
+// Extract all complete explicit LSPs from an annotated snapshot, walking
+// its columns through TraceView/HopView. Traces must have been annotated
+// with Ip2As first (hop ASNs are consumed here); the `ip2as` reference is
+// used for endpoint resolution of unmapped destinations.
 ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
                                const dataset::Ip2As& ip2as);
 
@@ -68,8 +63,6 @@ struct AsIpCensus {
   std::uint64_t mpls_ips = 0;
   std::uint64_t non_mpls_ips = 0;
 };
-std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
-    const dataset::Snapshot& snapshot);
 std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
     const dataset::SnapshotBatch& snapshot);
 

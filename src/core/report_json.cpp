@@ -1,6 +1,6 @@
 // JSON half of the Report interface — the machine-readable counterpart of
 // the text tables, for external plotting of the paper's figures.
-#include "core/report_json.h"
+#include "core/report.h"
 
 #include "core/metrics.h"
 #include "util/json.h"
@@ -123,14 +123,6 @@ std::string LongitudinalReport::to_json() const {
   }
   json.end_array();
   return json.str();
-}
-
-std::string to_json(const CycleReport& report, bool include_iotps) {
-  return report.to_json(include_iotps);
-}
-
-std::string to_json(const LongitudinalReport& report) {
-  return report.to_json();
 }
 
 }  // namespace mum::lpr

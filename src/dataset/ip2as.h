@@ -7,10 +7,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 #include "net/ipv4.h"
 #include "net/radix_trie.h"
@@ -73,16 +73,12 @@ class Ip2As {
   // Longest-prefix-match origin lookup; kUnknownAsn when uncovered.
   std::uint32_t lookup(net::Ipv4Addr addr) const;
 
-  // Fill TraceHop::asn and Trace::dst_asn in place. The span form accepts
-  // any contiguous range of traces — callers never copy into a vector just
-  // to annotate.
-  void annotate(Trace& trace) const;
-  void annotate(std::span<Trace> traces) const;
-  // Columnar form: fills the dst_asn and hop_asn columns. Interface
-  // addresses repeat heavily across a snapshot (and across snapshots of the
-  // same campaign), so lookups go through a flat memo table instead of one
-  // trie descent per hop. Pass a persistent AsnCache to keep the memo warm
-  // across snapshots; the cache-less overload memoizes within the call only.
+  // Fill the batch's dst_asn and hop_asn columns in place (anonymous hops
+  // map to kUnknownAsn). Interface addresses repeat heavily across a
+  // snapshot (and across snapshots of the same campaign), so lookups go
+  // through a flat memo table instead of one trie descent per hop. Pass a
+  // persistent AsnCache to keep the memo warm across snapshots; the
+  // cache-less overload memoizes within the call only.
   void annotate(TraceBatch& batch) const;
   void annotate(TraceBatch& batch, AsnCache& cache) const;
 

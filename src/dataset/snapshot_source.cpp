@@ -47,9 +47,9 @@ struct IngestMetrics {
 
 }  // namespace
 
-std::optional<Snapshot> decode_snapshot(std::string_view bytes,
-                                        const DecodeOptions& options,
-                                        DecodeDiagnostics* diagnostics) {
+std::optional<SnapshotBatch> decode_snapshot(std::string_view bytes,
+                                             const DecodeOptions& options,
+                                             DecodeDiagnostics* diagnostics) {
   DecodeDiagnostics local;
   DecodeDiagnostics* diag = diagnostics != nullptr ? diagnostics : &local;
   // Callers may hand in a pre-populated accumulator; meter the delta.
@@ -57,7 +57,7 @@ std::optional<Snapshot> decode_snapshot(std::string_view bytes,
   const std::uint64_t decoded_before = diag->records_decoded;
   const std::uint64_t skipped_before = diag->records_skipped;
 
-  std::optional<Snapshot> snap;
+  std::optional<SnapshotBatch> snap;
   if (bytes.size() >= sizeof kPackMagic &&
       bytes.compare(0, sizeof kPackMagic, kPackMagic, sizeof kPackMagic) ==
           0) {
@@ -83,27 +83,19 @@ std::optional<Snapshot> decode_snapshot(std::string_view bytes,
 // Thin sniffing wrappers so existing call sites transparently accept both
 // the stream and the pack container.
 
-std::optional<Snapshot> parse_snapshot(std::string_view bytes,
-                                       const DecodeOptions& options,
-                                       DecodeDiagnostics* diagnostics) {
+std::optional<SnapshotBatch> parse_snapshot(std::string_view bytes,
+                                            const DecodeOptions& options,
+                                            DecodeDiagnostics* diagnostics) {
   return decode_snapshot(bytes, options, diagnostics);
 }
 
-std::optional<Snapshot> parse_snapshot(std::string_view bytes) {
-  return decode_snapshot(bytes);
-}
-
-std::optional<Snapshot> read_snapshot(std::istream& is,
-                                      const DecodeOptions& options,
-                                      DecodeDiagnostics* diagnostics) {
+std::optional<SnapshotBatch> read_snapshot(std::istream& is,
+                                           const DecodeOptions& options,
+                                           DecodeDiagnostics* diagnostics) {
   std::ostringstream buffer;
   buffer << is.rdbuf();
   const std::string bytes = std::move(buffer).str();
   return decode_snapshot(bytes, options, diagnostics);
-}
-
-std::optional<Snapshot> read_snapshot(std::istream& is) {
-  return read_snapshot(is, DecodeOptions{}, nullptr);
 }
 
 // --- sources -----------------------------------------------------------
@@ -115,10 +107,10 @@ const DecodeDiagnostics kEmptyDiagnostics;
 
 class MemorySource final : public SnapshotSource {
  public:
-  explicit MemorySource(std::vector<Snapshot> snapshots)
+  explicit MemorySource(std::vector<SnapshotBatch> snapshots)
       : snapshots_(std::move(snapshots)) {}
 
-  std::optional<Snapshot> next() override {
+  std::optional<SnapshotBatch> next() override {
     if (index_ >= snapshots_.size()) return std::nullopt;
     return std::move(snapshots_[index_++]);
   }
@@ -137,7 +129,7 @@ class MemorySource final : public SnapshotSource {
   }
 
  private:
-  std::vector<Snapshot> snapshots_;
+  std::vector<SnapshotBatch> snapshots_;
   std::size_t index_ = 0;
 };
 
@@ -146,7 +138,7 @@ class BytesSource final : public SnapshotSource {
   BytesSource(std::vector<std::string> buffers, const DecodeOptions& options)
       : buffers_(std::move(buffers)), options_(options) {}
 
-  std::optional<Snapshot> next() override {
+  std::optional<SnapshotBatch> next() override {
     if (!error_.empty() || index_ >= buffers_.size()) return std::nullopt;
     const std::size_t i = index_++;
     last_diag_ = DecodeDiagnostics{};
@@ -195,7 +187,7 @@ class FileSource final : public SnapshotSource {
         // matter which thread performs the map.
         context_(util::io::capture_context()) {}
 
-  std::optional<Snapshot> next() override {
+  std::optional<SnapshotBatch> next() override {
     if (!error_.empty() || index_ >= paths_.size()) return std::nullopt;
     // A failed prefetch retries here once before declaring the shard dead
     // (a fresh ordinal, so an injected fault does not deterministically
@@ -215,7 +207,7 @@ class FileSource final : public SnapshotSource {
       return std::nullopt;
     }
 
-    std::optional<Snapshot> snap;
+    std::optional<SnapshotBatch> snap;
     if (index_ < paths_.size() && pool_ != nullptr) {
       // Overlap: decode shard i here while a worker maps shard i+1. Both
       // indices write disjoint state; parallel_for joins before we read it.
@@ -273,7 +265,7 @@ class FileSource final : public SnapshotSource {
 }  // namespace
 
 std::unique_ptr<SnapshotSource> make_memory_source(
-    std::vector<Snapshot> snapshots) {
+    std::vector<SnapshotBatch> snapshots) {
   return std::make_unique<MemorySource>(std::move(snapshots));
 }
 

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "dataset/decode.h"
-#include "dataset/trace.h"
+#include "dataset/trace_batch.h"
 
 namespace mum::util {
 class ThreadPool;
@@ -35,7 +35,7 @@ namespace mum::dataset {
 // pick the v1/v2 stream decoder or the v3 pack validator. Same contract as
 // both: strict = nullopt on the first fault, tolerant = best effort with
 // faults in `diagnostics`, nullopt only for an unrecognizable container.
-std::optional<Snapshot> decode_snapshot(
+std::optional<SnapshotBatch> decode_snapshot(
     std::string_view bytes, const DecodeOptions& options = {},
     DecodeDiagnostics* diagnostics = nullptr);
 
@@ -54,7 +54,7 @@ class SnapshotSource {
 
   // The next snapshot, or nullopt when the stream is exhausted — or broken;
   // distinguish with error().
-  virtual std::optional<Snapshot> next() = 0;
+  virtual std::optional<SnapshotBatch> next() = 0;
 
   // Decode faults accumulated over everything next() has consumed.
   virtual const DecodeDiagnostics& diagnostics() const noexcept = 0;
@@ -73,7 +73,7 @@ class SnapshotSource {
 
 // Yields already-materialized snapshots in order. Never fails.
 std::unique_ptr<SnapshotSource> make_memory_source(
-    std::vector<Snapshot> snapshots);
+    std::vector<SnapshotBatch> snapshots);
 
 // Decodes each byte buffer (any format) in order.
 std::unique_ptr<SnapshotSource> make_bytes_source(

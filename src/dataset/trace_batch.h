@@ -1,31 +1,33 @@
-// Arena-backed structure-of-arrays trace storage — the measurement-plane
-// mirror of the v3 pack layout (pack.h).
+// Arena-backed structure-of-arrays trace storage: the one in-memory form of
+// traceroute data, and the measurement-plane mirror of the v3 pack layout
+// (pack.h).
 //
 // A TraceBatch holds one snapshot's traces as contiguous columns carved from
 // a util::Arena: fixed per-trace fields (monitor, src, dst, dst_asn,
 // reached), a prefix-sum hop-offset column, per-hop columns (addr, rtt,
 // asn), a prefix-sum LSE-offset column, and one shared pool of RFC 3032
-// label-stack words replacing per-hop heap-owning LabelStack vectors. The
-// column set and ordering deliberately match PackSection, so serializing a
-// batch to a .mump pack is a column memcpy (pack.cpp) and ingesting a pack
-// is the inverse — no per-record re-encoding on either side.
+// label-stack words. The column set and ordering deliberately match
+// PackSection, so serializing a batch to a .mump pack is a column memcpy
+// (pack.cpp) and ingesting a pack is the inverse — no per-record
+// re-encoding on either side.
 //
 // Offsets are ends-exclusive prefix sums with a leading zero (trace i owns
 // hops [hop_off[i], hop_off[i+1]); hop h owns LSE words [lse_off[h],
 // lse_off[h+1])) — the exact shape the pack's offset sections carry.
 //
 // RTTs are stored as the raw doubles the trace engine produced, NOT the
-// pack's millisecond-quantized u32s: the batch must materialize Traces
-// byte-identical to the legacy heap path, and quantization is a
-// serialization concern (it happens in serialize_pack, for batch and
-// legacy alike).
+// pack's millisecond-quantized u32s: quantization is a serialization
+// concern (it happens in the writers), so a generated snapshot keeps its
+// full-precision RTTs until it is persisted.
 //
 // Arena ownership: a default-constructed batch owns a private arena; the
 // borrowing constructor carves from a caller-owned arena that the caller
 // resets between uses (the per-monitor shard pattern in
-// gen::CampaignRunner::snapshot_batch — steady state allocates nothing).
+// gen::CampaignRunner::snapshot — steady state allocates nothing).
 // Only trivially-copyable column data lives in the arena, so moving a batch
-// is a pointer copy and dropping one runs no per-trace destructors.
+// is a pointer copy and dropping one runs no per-trace destructors. Column
+// growth abandons the old block in the arena, so writers that know their
+// sizes reserve() exactly before appending.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "dataset/trace.h"
 #include "net/ipv4.h"
 #include "net/lse.h"
 #include "util/arena.h"
@@ -59,7 +60,7 @@ class HopView {
   std::span<const std::uint32_t> lse_words() const noexcept;
   // Label values, top first (what LPR compares).
   std::vector<std::uint32_t> labels() const;
-  // Materialize a heap LabelStack (compat / conversion layer only).
+  // The quoted stack as a net::LabelStack (text rendering, tests).
   net::LabelStack label_stack() const;
 
  private:
@@ -83,6 +84,8 @@ class TraceView {
   HopView hop(std::size_t k) const noexcept;
   // Global index of this trace's first hop in the hop columns.
   std::size_t first_hop() const noexcept;
+  // True when any hop carries a quoted label stack (explicit tunnel signal).
+  bool crosses_explicit_tunnel() const noexcept;
 
  private:
   const TraceBatch* batch_;
@@ -123,8 +126,6 @@ class TraceBatch {
   void add_label(std::uint32_t lse_word);
   void end_trace(bool reached);
 
-  // AoS compat: append a heap Trace (including its annotations).
-  void append(const Trace& trace);
   // Column-wise merge: append every trace of `other`, rebasing offsets.
   void append(const TraceBatch& other);
 
@@ -141,10 +142,8 @@ class TraceBatch {
                       std::span<const std::uint64_t> lse_off,
                       std::span<const std::uint32_t> lse_pool);
 
-  // --- views and conversions ---------------------------------------------
+  // --- views -------------------------------------------------------------
   TraceView view(std::size_t i) const noexcept { return TraceView(this, i); }
-  Trace to_trace(std::size_t i) const;
-  std::vector<Trace> to_traces() const;
 
   // --- raw columns (serialization + annotate) ----------------------------
   std::span<const std::uint32_t> monitor_col() const noexcept {
@@ -191,8 +190,6 @@ class TraceBatch {
     return hop_asn_.mutable_span();
   }
 
-  const util::Arena& arena() const noexcept { return *arena_; }
-
  private:
   void init_columns();
 
@@ -212,21 +209,24 @@ class TraceBatch {
   util::ArenaVector<std::uint32_t> lse_pool_;
 };
 
-// A Snapshot with columnar trace storage; the batch analogue of
-// dataset::Snapshot.
+// One probing run of the whole fleet ("team run" / daily snapshot).
 struct SnapshotBatch {
-  std::uint32_t cycle_id = 0;
-  std::uint32_t sub_index = 0;
-  std::string date;
+  std::uint32_t cycle_id = 0;   // global cycle index (0-based)
+  std::uint32_t sub_index = 0;  // snapshot index within the month (0 = cycle)
+  std::string date;             // "YYYY-MM" or "YYYY-MM-DD"
   TraceBatch traces;
 
   std::size_t trace_count() const noexcept { return traces.trace_count(); }
+};
 
-  // Materialize the legacy heap form (byte-identical downstream behaviour —
-  // the conversion preserves every field including annotations and raw
-  // double RTTs).
-  Snapshot to_snapshot() const;
-  static SnapshotBatch from_snapshot(const Snapshot& snapshot);
+// A month of data: the cycle snapshot (index 0) plus the additional
+// snapshots used by the Persistence filter (X+1 ... X+j).
+struct MonthData {
+  std::uint32_t cycle_id = 0;
+  std::string date;
+  std::vector<SnapshotBatch> snapshots;
+
+  const SnapshotBatch& cycle() const { return snapshots.front(); }
 };
 
 // --- inline view accessors (definitions need TraceBatch complete) ---------
@@ -275,6 +275,10 @@ inline std::size_t TraceView::hop_count() const noexcept {
 }
 inline HopView TraceView::hop(std::size_t k) const noexcept {
   return HopView(batch_, first_hop() + k);
+}
+inline bool TraceView::crosses_explicit_tunnel() const noexcept {
+  const auto off = batch_->lse_off_col();
+  return off[first_hop()] != off[first_hop() + hop_count()];
 }
 
 }  // namespace mum::dataset

@@ -1,7 +1,6 @@
 #include "dataset/warts_lite.h"
 
 #include <cmath>
-#include <ostream>
 #include <sstream>
 
 namespace mum::dataset {
@@ -57,28 +56,40 @@ std::optional<std::string> get_string(std::string_view in, std::size_t& pos,
   return s;
 }
 
-void serialize_trace(std::string& out, const Trace& t) {
-  put_varint(out, t.monitor_id);
-  put_u32(out, t.src.value());
-  put_u32(out, t.dst.value());
-  put_u8(out, t.reached ? 1 : 0);
-  put_varint(out, t.hops.size());
-  for (const TraceHop& h : t.hops) {
-    put_u32(out, h.addr.value());
-    put_u32(out, static_cast<std::uint32_t>(std::lround(h.rtt_ms * 1000.0)));
-    put_varint(out, h.labels.depth());
-    for (const auto& lse : h.labels.entries()) put_u32(out, lse.encode());
-  }
-}
+// Record sinks for decode_trace: the framing pass counts what a record
+// holds, the fill pass appends it to the batch.
+struct RecordCounter {
+  std::size_t hops = 0;
+  std::size_t lses = 0;
+  void begin(std::uint32_t, std::uint32_t, std::uint32_t, bool) {}
+  void hop(std::uint32_t, std::uint32_t) { ++hops; }
+  void label(std::uint32_t) { ++lses; }
+  void end() {}
+};
 
-// Decode one trace from [pos, limit). On malformation, records one fault in
-// `diag` (class, offset of the failing field, record index) and returns
-// nullopt — the caller decides whether that aborts (strict) or skips
-// (tolerant).
-std::optional<Trace> decode_trace(std::string_view in, std::size_t& pos,
-                                  std::size_t limit, std::uint64_t record,
-                                  DecodeDiagnostics& diag) {
-  Trace t;
+struct RecordWriter {
+  TraceBatch& batch;
+  bool reached = false;
+  void begin(std::uint32_t monitor, std::uint32_t src, std::uint32_t dst,
+             bool reached_flag) {
+    batch.begin_trace(monitor, net::Ipv4Addr(src), net::Ipv4Addr(dst));
+    reached = reached_flag;
+  }
+  void hop(std::uint32_t addr, std::uint32_t rtt_x1000) {
+    batch.add_hop(net::Ipv4Addr(addr), static_cast<double>(rtt_x1000) / 1000.0);
+  }
+  void label(std::uint32_t word) { batch.add_label(word); }
+  void end() { batch.end_trace(reached); }
+};
+
+// Decode one trace from [pos, limit) into `sink`. On malformation, records
+// one fault in `diag` (class, offset of the failing field, record index) and
+// returns false — the caller decides whether that aborts (strict) or skips
+// (tolerant). The sink may have seen part of a malformed record, so only
+// the counter is ever handed records that were not validated first.
+template <class Sink>
+bool decode_trace(std::string_view in, std::size_t& pos, std::size_t limit,
+                  std::uint64_t record, DecodeDiagnostics& diag, Sink& sink) {
   std::size_t field = pos;
   const auto monitor = get_varint(in, pos, limit);
   const auto src = get_u32(in, pos, limit);
@@ -88,21 +99,16 @@ std::optional<Trace> decode_trace(std::string_view in, std::size_t& pos,
   if (!monitor || !src || !dst || !reached || !n_hops) {
     diag.add_fault(FaultClass::kBadTraceHeader, field, record,
                    "trace header truncated");
-    return std::nullopt;
+    return false;
   }
   if (*n_hops > (limit - pos) / kMinHopBytes) {
     diag.add_fault(FaultClass::kOversizedClaim, field, record,
                    "hop count " + std::to_string(*n_hops) +
                        " exceeds remaining bytes");
-    return std::nullopt;
+    return false;
   }
-  t.monitor_id = static_cast<std::uint32_t>(*monitor);
-  t.src = net::Ipv4Addr(*src);
-  t.dst = net::Ipv4Addr(*dst);
-  t.reached = (*reached != 0);
-  t.hops.reserve(static_cast<std::size_t>(*n_hops));
+  sink.begin(static_cast<std::uint32_t>(*monitor), *src, *dst, *reached != 0);
   for (std::uint64_t h = 0; h < *n_hops; ++h) {
-    TraceHop hop;
     field = pos;
     const auto addr = get_u32(in, pos, limit);
     const auto rtt = get_u32(in, pos, limit);
@@ -110,32 +116,28 @@ std::optional<Trace> decode_trace(std::string_view in, std::size_t& pos,
     if (!addr || !rtt || !n_lse) {
       diag.add_fault(FaultClass::kBadHop, field, record,
                      "hop " + std::to_string(h) + " truncated");
-      return std::nullopt;
+      return false;
     }
     if (*n_lse > (limit - pos) / kMinLseBytes) {
       diag.add_fault(FaultClass::kOversizedClaim, field, record,
                      "label stack depth " + std::to_string(*n_lse) +
                          " exceeds remaining bytes");
-      return std::nullopt;
+      return false;
     }
-    hop.addr = net::Ipv4Addr(*addr);
-    hop.rtt_ms = static_cast<double>(*rtt) / 1000.0;
-    std::vector<net::LabelStackEntry> entries;
-    entries.reserve(static_cast<std::size_t>(*n_lse));
+    sink.hop(*addr, *rtt);
     for (std::uint64_t s = 0; s < *n_lse; ++s) {
       field = pos;
       const auto word = get_u32(in, pos, limit);
       if (!word) {
         diag.add_fault(FaultClass::kBadLabelStack, field, record,
                        "label stack truncated");
-        return std::nullopt;
+        return false;
       }
-      entries.push_back(net::LabelStackEntry::decode(*word));
+      sink.label(*word);
     }
-    hop.labels = net::LabelStack(std::move(entries));
-    t.hops.push_back(std::move(hop));
   }
-  return t;
+  sink.end();
+  return true;
 }
 
 }  // namespace
@@ -167,38 +169,8 @@ std::optional<std::uint64_t> get_varint(std::string_view in, std::size_t& pos,
   return std::nullopt;  // truncated
 }
 
-std::string serialize_snapshot(const Snapshot& snapshot,
-                               std::uint8_t version) {
-  std::string out;
-  out.append(kWartsLiteMagic, sizeof kWartsLiteMagic);
-  put_u8(out, version);
-  put_varint(out, snapshot.cycle_id);
-  put_varint(out, snapshot.sub_index);
-  put_string(out, snapshot.date);
-  put_varint(out, snapshot.traces.size());
-  std::string record;
-  for (const Trace& t : snapshot.traces) {
-    if (version >= 2) {
-      record.clear();
-      serialize_trace(record, t);
-      put_varint(out, record.size());
-      out.append(record);
-    } else {
-      serialize_trace(out, t);
-    }
-  }
-  return out;
-}
-
-std::string serialize_snapshot(const Snapshot& snapshot) {
-  return serialize_snapshot(snapshot, kWartsLiteVersion);
-}
-
 std::string serialize_snapshot(const SnapshotBatch& snapshot,
                                std::uint8_t version) {
-  // v2 encode straight off the batch views — no AoS materialization. The
-  // output matches serialize_snapshot(snapshot.to_snapshot(), version)
-  // byte for byte (same fields, same varint framing).
   std::string out;
   out.append(kWartsLiteMagic, sizeof kWartsLiteMagic);
   put_u8(out, version);
@@ -232,13 +204,9 @@ std::string serialize_snapshot(const SnapshotBatch& snapshot,
   return out;
 }
 
-std::string serialize_snapshot(const SnapshotBatch& snapshot) {
-  return serialize_snapshot(snapshot, kWartsLiteVersion);
-}
-
-std::optional<Snapshot> parse_snapshot_v2(std::string_view bytes,
-                                          const DecodeOptions& options,
-                                          DecodeDiagnostics* diagnostics) {
+std::optional<SnapshotBatch> parse_snapshot_v2(
+    std::string_view bytes, const DecodeOptions& options,
+    DecodeDiagnostics* diagnostics) {
   DecodeDiagnostics scratch;
   DecodeDiagnostics& diag = diagnostics != nullptr ? *diagnostics : scratch;
   const std::size_t size = bytes.size();
@@ -260,7 +228,7 @@ std::optional<Snapshot> parse_snapshot_v2(std::string_view bytes,
   }
   const bool framed = version >= 2;
 
-  Snapshot snap;
+  SnapshotBatch snap;
   std::size_t field = pos;
   const auto cycle_id = get_varint(bytes, pos);
   const auto sub_index = get_varint(bytes, pos);
@@ -304,9 +272,13 @@ std::optional<Snapshot> parse_snapshot_v2(std::string_view bytes,
                        " exceeds remaining bytes");
     if (!options.tolerant) return std::nullopt;
   }
-  snap.traces.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(*n_traces,
-                                                       max_traces)));
+
+  // Framing pass: validate every record and count what the good ones hold,
+  // so the batch columns are reserved once, exactly, before any append.
+  std::vector<std::size_t> good;  // start offset of each decodable record
+  good.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(*n_traces, max_traces)));
+  RecordCounter counts;
 
   for (std::uint64_t i = 0; i < *n_traces; ++i) {
     if (pos >= size) {
@@ -338,17 +310,20 @@ std::optional<Snapshot> parse_snapshot_v2(std::string_view bytes,
 
     DecodeDiagnostics attempt;
     std::size_t trace_pos = pos;
-    auto trace = decode_trace(bytes, trace_pos, limit, i, attempt);
-    if (trace && framed && trace_pos != record_end) {
+    RecordCounter record;
+    bool ok = decode_trace(bytes, trace_pos, limit, i, attempt, record);
+    if (ok && framed && trace_pos != record_end) {
       attempt.add_fault(FaultClass::kTrailingBytes, trace_pos, i,
                         std::to_string(record_end - trace_pos) +
                             " unconsumed bytes in record");
-      trace.reset();  // half-trusted payload: treat the record as malformed
+      ok = false;  // half-trusted payload: treat the record as malformed
     }
     diag.merge(attempt);
 
-    if (trace) {
-      snap.traces.push_back(std::move(*trace));
+    if (ok) {
+      good.push_back(pos);
+      counts.hops += record.hops;
+      counts.lses += record.lses;
       ++diag.records_decoded;
       pos = framed ? record_end : trace_pos;
     } else if (!options.tolerant) {
@@ -368,40 +343,47 @@ std::optional<Snapshot> parse_snapshot_v2(std::string_view bytes,
                    std::to_string(size - pos) + " bytes after last record");
     if (!options.tolerant) return std::nullopt;
   }
+
+  // Fill pass over the records that validated. A record that decoded
+  // inside its frame decodes identically against the whole buffer, so the
+  // replay cannot fault.
+  snap.traces.reserve(good.size(), counts.hops, counts.lses);
+  RecordWriter writer{snap.traces};
+  DecodeDiagnostics replay;
+  for (std::size_t at : good) {
+    decode_trace(bytes, at, size, 0, replay, writer);
+  }
   return snap;
 }
 
-void write_snapshot(std::ostream& os, const Snapshot& snapshot) {
-  const std::string bytes = serialize_snapshot(snapshot);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string to_text(const Trace& trace) {
+std::string to_text(const TraceView& trace) {
   std::ostringstream os;
-  os << "trace monitor=" << trace.monitor_id << " src=" << trace.src
-     << " dst=" << trace.dst << " reached=" << (trace.reached ? 1 : 0)
+  os << "trace monitor=" << trace.monitor_id() << " src=" << trace.src()
+     << " dst=" << trace.dst() << " reached=" << (trace.reached() ? 1 : 0)
      << '\n';
-  int ttl = 1;
-  for (const TraceHop& hop : trace.hops) {
-    os << "  " << ttl++ << "  ";
+  for (std::size_t k = 0; k < trace.hop_count(); ++k) {
+    const HopView hop = trace.hop(k);
+    os << "  " << k + 1 << "  ";
     if (hop.anonymous()) {
       os << "*";
     } else {
-      os << hop.addr << "  " << hop.rtt_ms << " ms";
-      if (hop.asn != 0) os << "  [AS" << hop.asn << "]";
-      if (hop.has_labels()) os << "  " << hop.labels;
+      os << hop.addr() << "  " << hop.rtt_ms() << " ms";
+      if (hop.asn() != 0) os << "  [AS" << hop.asn() << "]";
+      if (hop.has_labels()) os << "  " << hop.label_stack();
     }
     os << '\n';
   }
   return os.str();
 }
 
-std::string to_text(const Snapshot& snapshot) {
+std::string to_text(const SnapshotBatch& snapshot) {
   std::ostringstream os;
   os << "snapshot cycle=" << snapshot.cycle_id
      << " sub=" << snapshot.sub_index << " date=" << snapshot.date
-     << " traces=" << snapshot.traces.size() << "\n\n";
-  for (const Trace& t : snapshot.traces) os << to_text(t) << '\n';
+     << " traces=" << snapshot.trace_count() << "\n\n";
+  for (std::size_t i = 0; i < snapshot.trace_count(); ++i) {
+    os << to_text(snapshot.traces.view(i)) << '\n';
+  }
   return os.str();
 }
 

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "dataset/decode.h"
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 
 namespace mum::dataset {
@@ -48,41 +47,33 @@ inline constexpr char kWartsLiteMagic[4] = {'M', 'U', 'M', 'W'};
 
 // --- binary -----------------------------------------------------------
 
-void write_snapshot(std::ostream& os, const Snapshot& snapshot);
-
-std::string serialize_snapshot(const Snapshot& snapshot);
-// Serialize at an explicit format version (1 or 2) — for compatibility
+// Encode straight off the batch's TraceView/HopView spans (RTTs quantized
+// to ms*1000). An explicit format version (1 or 2) is for compatibility
 // tests and for producing archives older readers understand.
-std::string serialize_snapshot(const Snapshot& snapshot,
-                               std::uint8_t version);
-// Batch forms: encode straight off TraceView/HopView spans, byte-identical
-// to serializing the materialized snapshot.
-std::string serialize_snapshot(const SnapshotBatch& snapshot);
 std::string serialize_snapshot(const SnapshotBatch& snapshot,
-                               std::uint8_t version);
+                               std::uint8_t version = kWartsLiteVersion);
 
-// Strict decode: nullopt on the first malformed field (bad magic/version/
-// truncation). Equivalent to the options overload with default options.
-std::optional<Snapshot> read_snapshot(std::istream& is);
-std::optional<Snapshot> parse_snapshot(std::string_view bytes);
-
-// Mode-aware decode. Strict mode returns nullopt on the first fault;
-// tolerant mode skips malformed records (never throws on arbitrary bytes)
-// and returns whatever decoded, nullopt only when the container itself is
-// unrecognizable (bad magic/version). Faults land in `diagnostics` when
-// provided — including the exact byte offset of a strict-mode failure.
+// Mode-aware decode. Strict mode (the default) returns nullopt on the first
+// malformed field (bad magic/version/truncation); tolerant mode skips
+// malformed records (never throws on arbitrary bytes) and returns whatever
+// decoded, nullopt only when the container itself is unrecognizable (bad
+// magic/version). Faults land in `diagnostics` when provided — including
+// the exact byte offset of a strict-mode failure.
 //
 // These sniff the magic: both the v1/v2 stream and the v3 pack decode.
 // (Implemented in snapshot_source.cpp on top of decode_snapshot.)
-std::optional<Snapshot> parse_snapshot(std::string_view bytes,
-                                       const DecodeOptions& options,
-                                       DecodeDiagnostics* diagnostics);
-std::optional<Snapshot> read_snapshot(std::istream& is,
-                                      const DecodeOptions& options,
-                                      DecodeDiagnostics* diagnostics);
+std::optional<SnapshotBatch> parse_snapshot(
+    std::string_view bytes, const DecodeOptions& options = {},
+    DecodeDiagnostics* diagnostics = nullptr);
+std::optional<SnapshotBatch> read_snapshot(
+    std::istream& is, const DecodeOptions& options = {},
+    DecodeDiagnostics* diagnostics = nullptr);
 
 // The v1/v2 stream decoder itself, no sniffing: bytes must start "MUMW".
-std::optional<Snapshot> parse_snapshot_v2(
+// A framing pass validates every record and counts its hops and label
+// stack entries; the batch is then reserved exactly and filled from the
+// records that passed.
+std::optional<SnapshotBatch> parse_snapshot_v2(
     std::string_view bytes, const DecodeOptions& options = {},
     DecodeDiagnostics* diagnostics = nullptr);
 
@@ -90,8 +81,8 @@ std::optional<Snapshot> parse_snapshot_v2(
 
 // One line per hop, blank line between traces; lossless for the fields LPR
 // uses. Intended for eyeballing and for golden-file tests.
-std::string to_text(const Trace& trace);
-std::string to_text(const Snapshot& snapshot);
+std::string to_text(const TraceView& trace);
+std::string to_text(const SnapshotBatch& snapshot);
 
 // --- varint helpers (exposed for tests and sibling formats) ------------
 

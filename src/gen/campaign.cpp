@@ -26,20 +26,16 @@ CampaignRunner::CampaignRunner(CampaignRunner&&) noexcept = default;
 CampaignRunner& CampaignRunner::operator=(CampaignRunner&&) noexcept =
     default;
 
-dataset::Snapshot CampaignRunner::snapshot(MonthContext& ctx, int cycle,
-                                           int sub_index) const {
+dataset::SnapshotBatch CampaignRunner::snapshot(MonthContext& ctx, int cycle,
+                                                int sub_index) const {
   return snapshot(ctx, cycle, sub_index, config_);
 }
 
-dataset::Snapshot CampaignRunner::snapshot(
+dataset::SnapshotBatch CampaignRunner::snapshot(
     MonthContext& ctx, int cycle, int sub_index,
     const CampaignConfig& config) const {
-  if (config.batch) {
-    return snapshot_batch(ctx, cycle, sub_index, config).to_snapshot();
-  }
-
   const Internet& internet = *internet_;
-  dataset::Snapshot snap;
+  dataset::SnapshotBatch snap;
   snap.cycle_id = static_cast<std::uint32_t>(cycle);
   snap.sub_index = static_cast<std::uint32_t>(sub_index);
   snap.date = cycle_date(cycle);
@@ -62,82 +58,6 @@ dataset::Snapshot CampaignRunner::snapshot(
   const int per_monitor = internet.config().dests_per_monitor;
   const int overlap = std::max(1, internet.config().dest_overlap);
 
-  // Ark-style split of the destination list across the fleet, with overlap:
-  // destination d is probed by the `overlap` monitors following d % N
-  // (stable across snapshots, so the Persistence filter compares like with
-  // like). Each monitor writes its own trace block; blocks are concatenated
-  // in monitor order so the merged snapshot is identical to a serial run.
-  std::vector<std::vector<dataset::Trace>> blocks(n_monitors);
-  util::parallel_for(pool_, n_monitors, [&](std::size_t mi) {
-    const probe::Monitor& monitor = monitors[mi];
-    util::Rng rng = noise_base.fork(mi);
-    std::vector<dataset::Trace>& out = blocks[mi];
-    int probed = 0;
-    for (int o = 0; o < overlap && probed < per_monitor; ++o) {
-      const std::size_t lane =
-          (mi + monitors.size() - static_cast<std::size_t>(o)) %
-          monitors.size();
-      const int per_dest = std::max(1, internet.config().probes_per_dest);
-      for (std::size_t d = lane; d < dests.size() && probed < per_monitor;
-           d += monitors.size(), ++probed) {
-        for (int pp = 0; pp < per_dest; ++pp) {
-          // Additional probes land in the same /24 (same FEC) but hash to
-          // different Paris flows.
-          Destination dest = dests[d];
-          dest.addr = net::Ipv4Addr(dest.addr.value() +
-                                    static_cast<std::uint32_t>(pp) * 128);
-          const auto path = internet.path_spec(monitor, dest, ctx);
-          if (!path) continue;
-          out.push_back(
-              probe::trace_route(monitor, *path, config.trace, rng));
-        }
-      }
-    }
-  });
-
-  std::size_t total = 0;
-  for (const auto& block : blocks) total += block.size();
-  snap.traces.reserve(total);
-  for (auto& block : blocks) {
-    for (auto& trace : block) snap.traces.push_back(std::move(trace));
-  }
-
-  ip2as_->annotate(snap.traces);
-  return snap;
-}
-
-dataset::SnapshotBatch CampaignRunner::snapshot_batch(MonthContext& ctx,
-                                                      int cycle,
-                                                      int sub_index) const {
-  return snapshot_batch(ctx, cycle, sub_index, config_);
-}
-
-dataset::SnapshotBatch CampaignRunner::snapshot_batch(
-    MonthContext& ctx, int cycle, int sub_index,
-    const CampaignConfig& config) const {
-  const Internet& internet = *internet_;
-  dataset::SnapshotBatch snap;
-  snap.cycle_id = static_cast<std::uint32_t>(cycle);
-  snap.sub_index = static_cast<std::uint32_t>(sub_index);
-  snap.date = cycle_date(cycle);
-
-  ctx.apply_flaps(sub_index, internet.config().ecmp_flap_prob);
-
-  const auto& monitors = internet.monitors();
-  const auto& dests = internet.destinations();
-  const std::size_t n_monitors = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             static_cast<double>(monitors.size()) * config.monitor_share));
-
-  // Same observation-noise lineage as the heap path: byte-identity between
-  // the two rests on every monitor consuming the identical draw sequence.
-  const util::Rng noise_base(util::hash_combine(
-      internet.config().seed,
-      util::hash_combine(0xABCDull + cycle, sub_index)));
-
-  const int per_monitor = internet.config().dests_per_monitor;
-  const int overlap = std::max(1, internet.config().dest_overlap);
-
   // Shard arenas are grown serially, then reset and lent to one TraceBatch
   // each: after the first snapshot every column re-carves the same chunks,
   // so the probe loop's steady state performs no heap allocation.
@@ -151,6 +71,11 @@ dataset::SnapshotBatch CampaignRunner::snapshot_batch(
     blocks.emplace_back(shards_[mi]->arena);
   }
 
+  // Ark-style split of the destination list across the fleet, with overlap:
+  // destination d is probed by the `overlap` monitors following d % N
+  // (stable across snapshots, so the Persistence filter compares like with
+  // like). Each monitor writes its own block; blocks merge in monitor order
+  // so the snapshot is identical to a serial run.
   util::parallel_for(pool_, n_monitors, [&](std::size_t mi) {
     const probe::Monitor& monitor = monitors[mi];
     util::Rng rng = noise_base.fork(mi);
@@ -166,6 +91,8 @@ dataset::SnapshotBatch CampaignRunner::snapshot_batch(
       for (std::size_t d = lane; d < dests.size() && probed < per_monitor;
            d += monitors.size(), ++probed) {
         for (int pp = 0; pp < per_dest; ++pp) {
+          // Additional probes land in the same /24 (same FEC) but hash to
+          // different Paris flows.
           Destination dest = dests[d];
           dest.addr = net::Ipv4Addr(dest.addr.value() +
                                     static_cast<std::uint32_t>(pp) * 128);
@@ -218,30 +145,21 @@ dataset::SnapshotBatch CampaignRunner::snapshot_batch(
 }
 
 dataset::MonthData CampaignRunner::month(int cycle) const {
-  const Internet& internet = *internet_;
-  dataset::MonthData month;
-  month.cycle_id = static_cast<std::uint32_t>(cycle);
-  month.date = cycle_date(cycle);
-
-  MonthContext ctx = internet.instantiate(cycle, /*day_of_month=*/1, pool_);
-  util::Rng dyn_rng(util::hash_combine(internet.config().seed,
-                                       0xD1Aull + cycle));
-  for (int s = 0; s <= config_.extra_snapshots; ++s) {
-    if (s > 0) ctx.advance_dynamics(dyn_rng);
-    month.snapshots.push_back(snapshot(ctx, cycle, s));
-  }
-  return month;
+  MonthContext ctx = internet_->instantiate(cycle, /*day_of_month=*/1, pool_);
+  return probe_month(ctx, cycle);
 }
 
 dataset::MonthData CampaignRunner::month(DeltaEvolver& evolver,
                                          int cycle) const {
-  const Internet& internet = *internet_;
+  return probe_month(evolver.evolve_to(cycle, /*day_of_month=*/1), cycle);
+}
+
+dataset::MonthData CampaignRunner::probe_month(MonthContext& ctx,
+                                               int cycle) const {
   dataset::MonthData month;
   month.cycle_id = static_cast<std::uint32_t>(cycle);
   month.date = cycle_date(cycle);
-
-  MonthContext& ctx = evolver.evolve_to(cycle, /*day_of_month=*/1);
-  util::Rng dyn_rng(util::hash_combine(internet.config().seed,
+  util::Rng dyn_rng(util::hash_combine(internet_->config().seed,
                                        0xD1Aull + cycle));
   for (int s = 0; s <= config_.extra_snapshots; ++s) {
     if (s > 0) ctx.advance_dynamics(dyn_rng);
@@ -250,10 +168,10 @@ dataset::MonthData CampaignRunner::month(DeltaEvolver& evolver,
   return month;
 }
 
-std::vector<dataset::Snapshot> CampaignRunner::daily_month(int cycle,
-                                                           int days) const {
+std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
+    int cycle, int days) const {
   const Internet& internet = *internet_;
-  std::vector<dataset::Snapshot> out;
+  std::vector<dataset::SnapshotBatch> out;
   out.reserve(static_cast<std::size_t>(days));
   util::Rng dyn_rng(util::hash_combine(internet.config().seed,
                                        0xDA1ull + cycle));
@@ -279,7 +197,7 @@ std::vector<dataset::Snapshot> CampaignRunner::daily_month(int cycle,
                      999.0);
     day_config.monitor_share = config_.monitor_share * wobble;
 
-    dataset::Snapshot snap = snapshot(ctx, cycle, day - 1, day_config);
+    dataset::SnapshotBatch snap = snapshot(ctx, cycle, day - 1, day_config);
     snap.date = cycle_date(cycle) + (day < 10 ? "-0" : "-") +
                 std::to_string(day);
     out.push_back(std::move(snap));

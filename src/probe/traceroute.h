@@ -13,20 +13,11 @@
 
 #include <cstdint>
 
-#include "dataset/trace.h"
 #include "dataset/trace_batch.h"
 #include "probe/forwarder.h"
 #include "util/rng.h"
 
 namespace mum::probe {
-
-// The measurement plane emits into dataset::TraceBatch; alias it into this
-// namespace as the probe-side spelling (probe sits above dataset in the
-// layering, so the type lives there).
-using dataset::HopView;
-using dataset::SnapshotBatch;
-using dataset::TraceBatch;
-using dataset::TraceView;
 
 struct Monitor {
   std::uint32_t id = 0;
@@ -53,30 +44,21 @@ struct TraceOptions {
   int gap_limit = 6;
 };
 
-// Run one traceroute over a precomputed path. `rng` drives only the
+// Run one traceroute over a precomputed path, appending the trace to `out`
+// as columns (no per-hop heap allocation). `rng` drives only the
 // observation noise (anonymous hops, reply loss, RTT jitter) — forwarding
-// itself is deterministic in the flow id.
-dataset::Trace trace_route(const Monitor& monitor, const PathSpec& path,
-                           const TraceOptions& options, util::Rng& rng);
-
-// Observation model over an already-computed forwarding walk (trace_route
-// == walk_path + observe_walk). Exposed so benches and oracle tests can
-// separate the forwarding simulation from the measurement path proper.
-dataset::Trace observe_walk(const Monitor& monitor, net::Ipv4Addr dst,
-                            const TraceOptions& options, util::Rng& rng,
-                            const WalkResult& walk);
-// Batch form; appends one trace to `out`.
-void observe_walk_into(const Monitor& monitor, net::Ipv4Addr dst,
-                       const TraceOptions& options, util::Rng& rng,
-                       const WalkResult& walk, dataset::TraceBatch& out);
-
-// Batch form: identical RNG draw sequence and observable behaviour (the two
-// share one observation-model core), but the trace lands as columns in
-// `out` with zero per-hop heap allocation. `scratch`, when non-null, is a
+// itself is deterministic in the flow id. `scratch`, when non-null, is a
 // caller-owned WalkResult reused across calls (per-worker scratch).
 void trace_route_into(const Monitor& monitor, const PathSpec& path,
                       const TraceOptions& options, util::Rng& rng,
                       dataset::TraceBatch& out,
                       WalkResult* scratch = nullptr);
+
+// Observation model over an already-computed forwarding walk
+// (trace_route_into == walk_path + observe_walk_into). Exposed so benches
+// can separate the forwarding simulation from the measurement path proper.
+void observe_walk_into(const Monitor& monitor, net::Ipv4Addr dst,
+                       const TraceOptions& options, util::Rng& rng,
+                       const WalkResult& walk, dataset::TraceBatch& out);
 
 }  // namespace mum::probe

@@ -92,7 +92,7 @@ dataset::MonthData Runner::prepare_month(int cycle,
     // ingest, not generation.
     const obs::StageSpan span(obs::Stage::kIngest, cycle);
     for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
-      dataset::Snapshot& snapshot = month.snapshots[sub];
+      dataset::SnapshotBatch& snapshot = month.snapshots[sub];
       if (corruptor->config().flip_byte > 0) {
         // Wire faults exercise the real ingest path: serialize (in the
         // configured container format), flip bits, tolerant-decode, keep

@@ -3,8 +3,8 @@
 // runs monthly cycles through generation and the LPR pipeline — serially or
 // across a thread pool it owns.
 //
-// Promoted from bench/common's Study so the fig*/table* binaries, the CLI
-// and examples all share one API (bench::Study is now an alias of this).
+// The fig*/table* binaries, the CLI and the examples all share this one
+// API.
 //
 // Determinism contract: all randomness derives from RNG streams keyed by
 // (seed, cycle, monitor)-style lineages, cycles are independent, and

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/filters.h"
+#include "trace_builder.h"
 
 #include <set>
 
@@ -45,7 +46,7 @@ TEST_F(CampaignTest, TracesAreAnnotated) {
   MonthContext ctx = internet.instantiate(50);
   const auto snap = runner.snapshot(ctx, 50, 0);
   int annotated_hops = 0;
-  for (const auto& t : snap.traces) {
+  for (const auto& t : test::specs_of(snap.traces)) {
     EXPECT_NE(t.dst_asn, 0u);
     for (const auto& h : t.hops) {
       if (!h.anonymous() && h.asn != 0) ++annotated_hops;
@@ -58,8 +59,8 @@ TEST_F(CampaignTest, SomeTracesCrossExplicitTunnels) {
   MonthContext ctx = internet.instantiate(50);
   const auto snap = runner.snapshot(ctx, 50, 0);
   int tunneled = 0;
-  for (const auto& t : snap.traces) {
-    tunneled += t.crosses_explicit_tunnel() ? 1 : 0;
+  for (std::size_t i = 0; i < snap.trace_count(); ++i) {
+    tunneled += snap.traces.view(i).crosses_explicit_tunnel() ? 1 : 0;
   }
   EXPECT_GT(tunneled, 20);
   EXPECT_LT(tunneled, static_cast<int>(snap.trace_count()));
@@ -71,7 +72,9 @@ TEST_F(CampaignTest, MonitorShareReducesFleet) {
   half.monitor_share = 0.5;
   const auto snap = runner.snapshot(ctx, 50, 0, half);
   std::set<std::uint32_t> monitors;
-  for (const auto& t : snap.traces) monitors.insert(t.monitor_id);
+  for (const std::uint32_t monitor : snap.traces.monitor_col()) {
+    monitors.insert(monitor);
+  }
   EXPECT_EQ(monitors.size(), 2u);
 }
 
@@ -92,9 +95,11 @@ TEST_F(CampaignTest, CampaignDeterministicForSameSeed) {
   const auto other_ip2as = other.build_ip2as();
   const auto m2 = CampaignRunner(other, other_ip2as).month(40);
   ASSERT_EQ(m1.cycle().trace_count(), m2.cycle().trace_count());
-  for (std::size_t i = 0; i < m1.cycle().traces.size(); ++i) {
-    const auto& a = m1.cycle().traces[i];
-    const auto& b = m2.cycle().traces[i];
+  const auto traces1 = test::specs_of(m1.cycle().traces);
+  const auto traces2 = test::specs_of(m2.cycle().traces);
+  for (std::size_t i = 0; i < traces1.size(); ++i) {
+    const auto& a = traces1[i];
+    const auto& b = traces2[i];
     ASSERT_EQ(a.hops.size(), b.hops.size());
     for (std::size_t h = 0; h < a.hops.size(); ++h) {
       EXPECT_EQ(a.hops[h].addr, b.hops[h].addr);
@@ -152,7 +157,7 @@ TEST_F(CampaignTest, DailyMonthGeneratesPerDaySnapshots) {
 
 TEST_F(CampaignTest, Level3AppearsMidApril2012) {
   const auto days = runner.daily_month(cycle_of(2012, 4), 30);
-  auto level3_lsps = [&](const dataset::Snapshot& snap) {
+  auto level3_lsps = [&](const dataset::SnapshotBatch& snap) {
     const auto extracted = ::mum::lpr::extract_lsps(snap, ip2as);
     std::size_t n = 0;
     for (const auto& obs : extracted.observations) {

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -39,7 +40,7 @@ run::RunnerConfig small_runner(int cycles, int threads = 1) {
   return c;
 }
 
-dataset::Snapshot sample_snapshot() {
+dataset::SnapshotBatch sample_snapshot() {
   gen::Internet internet(small_gen());
   const auto ip2as = internet.build_ip2as();
   gen::CampaignRunner runner(internet, ip2as);
@@ -160,8 +161,8 @@ TEST(Corruptor, StructuralFaultsAreDeterministic) {
   config.bogus_ip2as = 0.1;
   config.monitor_blackout = 0.2;
 
-  dataset::Snapshot a = sample_snapshot();
-  dataset::Snapshot b = a;
+  dataset::SnapshotBatch a = sample_snapshot();
+  dataset::SnapshotBatch b = sample_snapshot();
   chaos::Corruptor ca(config);
   chaos::Corruptor cb(config);
   ca.corrupt(a);
@@ -172,7 +173,7 @@ TEST(Corruptor, StructuralFaultsAreDeterministic) {
 
   // A different seed corrupts differently.
   config.seed ^= 0x5EEDull;
-  dataset::Snapshot c = sample_snapshot();
+  dataset::SnapshotBatch c = sample_snapshot();
   chaos::Corruptor cc(config);
   cc.corrupt(c);
   EXPECT_NE(dataset::serialize_snapshot(a), dataset::serialize_snapshot(c));
@@ -181,21 +182,23 @@ TEST(Corruptor, StructuralFaultsAreDeterministic) {
 TEST(Corruptor, DropExtensionRemovesLabelStacks) {
   chaos::ChaosConfig config;
   config.drop_extension = 1.0;
-  dataset::Snapshot snap = sample_snapshot();
+  dataset::SnapshotBatch snap = sample_snapshot();
+  ASSERT_GT(snap.traces.lse_count(), 0u);
   chaos::Corruptor corruptor(config);
   corruptor.corrupt(snap);
   EXPECT_GT(corruptor.stats().extensions_dropped, 0u);
-  for (const auto& t : snap.traces) {
-    for (const auto& h : t.hops) EXPECT_FALSE(h.has_labels());
+  EXPECT_EQ(snap.traces.lse_count(), 0u);
+  for (std::size_t i = 0; i < snap.trace_count(); ++i) {
+    EXPECT_FALSE(snap.traces.view(i).crosses_explicit_tunnel());
   }
 }
 
 TEST(Corruptor, BlackoutDropsWholeMonitors) {
   chaos::ChaosConfig config;
   config.monitor_blackout = 1.0;
-  dataset::Snapshot snap = sample_snapshot();
+  dataset::SnapshotBatch snap = sample_snapshot();
   ASSERT_FALSE(snap.traces.empty());
-  const std::size_t before = snap.traces.size();
+  const std::size_t before = snap.trace_count();
   chaos::Corruptor corruptor(config);
   corruptor.corrupt(snap);
   EXPECT_TRUE(snap.traces.empty());
@@ -206,16 +209,14 @@ TEST(Corruptor, BlackoutDropsWholeMonitors) {
 TEST(Corruptor, BogusIp2AsRemapsIntoPrivateRange) {
   chaos::ChaosConfig config;
   config.bogus_ip2as = 1.0;
-  dataset::Snapshot snap = sample_snapshot();
+  dataset::SnapshotBatch snap = sample_snapshot();
   chaos::Corruptor corruptor(config);
   corruptor.corrupt(snap);
   EXPECT_GT(corruptor.stats().asns_scrambled, 0u);
-  for (const auto& t : snap.traces) {
-    for (const auto& h : t.hops) {
-      if (!h.anonymous() && h.asn != 0) {
-        EXPECT_GE(h.asn, 64512u);
-        EXPECT_LT(h.asn, 64512u + 1024u);
-      }
+  for (const std::uint32_t asn : snap.traces.hop_asn_col()) {
+    if (asn != 0) {
+      EXPECT_GE(asn, 64512u);
+      EXPECT_LT(asn, 64512u + 1024u);
     }
   }
 }
@@ -225,7 +226,7 @@ TEST(Corruptor, BogusIp2AsRemapsIntoPrivateRange) {
 TEST(Corruptor, FlippedBytesSpareTheContainerHeader) {
   chaos::ChaosConfig config;
   config.flip_byte = 0.02;
-  dataset::Snapshot snap = sample_snapshot();
+  const dataset::SnapshotBatch snap = sample_snapshot();
   const std::string clean = dataset::serialize_snapshot(snap);
   std::string dirty = clean;
   chaos::Corruptor corruptor(config);
@@ -248,7 +249,7 @@ TEST(Corruptor, FlippedBytesSpareTheContainerHeader) {
 TEST(Corruptor, TolerantDecodeSalvagesFlippedSnapshot) {
   chaos::ChaosConfig config;
   config.flip_byte = 0.005;
-  dataset::Snapshot snap = sample_snapshot();
+  const dataset::SnapshotBatch snap = sample_snapshot();
   std::string bytes = dataset::serialize_snapshot(snap);
   chaos::Corruptor corruptor(config);
   corruptor.corrupt_bytes(bytes, 7);
@@ -586,6 +587,65 @@ TEST(ChaosSoak, SixtyCyclesAtTwoPercentDegradeBoundedly) {
   EXPECT_GE(ratios[ratios.size() / 2], 0.6);
   EXPECT_GT(chaos_total * 10, clean_total * 5);
   EXPECT_LT(chaos_total * 10, clean_total * 11);
+}
+
+
+// --- pinned chaos behaviour ------------------------------------------------
+
+// Everything a chaos run decides, in one string: the report JSON (which
+// carries each cycle's decode diagnostics) plus every cycle's injected-fault
+// counts from the manifest.
+std::string chaos_fingerprint(const run::RunOutcome& outcome) {
+  std::string print = outcome.report.to_json();
+  for (const run::CycleStatus& status : outcome.manifest.cycles) {
+    const chaos::ChaosStats& s = status.chaos;
+    for (const std::uint64_t n :
+         {s.stacks_truncated, s.extensions_dropped, s.hops_duplicated,
+          s.hops_reordered, s.asns_scrambled, s.monitors_blacked_out,
+          s.traces_dropped, s.bytes_flipped, s.cycles_failed}) {
+      print += ' ' + std::to_string(n);
+    }
+    print += '\n';
+  }
+  return print;
+}
+
+// Four cycles of the CLI's --small world under every dataset fault at 2%
+// (the six structural faults plus byte flips), with the wire round trip in
+// each container format, and once more without flips so the structural
+// faults land on whole snapshots. The digests were recorded from the
+// heap-trace corruptor and decoders; the columnar ones must draw the same
+// faults in the same order and salvage the same records.
+TEST(ChaosPinned, AllDatasetFaultsAtTwoPercentMatchPinnedDigests) {
+  struct Case {
+    const char* spec;
+    std::uint8_t format;
+    std::uint64_t digest;
+  };
+  for (const Case& c : {Case{"all=2%", 2, 0xd92e570b80221aabull},
+                        Case{"all=2%", 3, 0x9a9748332376e1aull},
+                        Case{"all=2%,flip=0", 2, 0xecad8bb27eb30decull}}) {
+    const auto spec = chaos::parse_chaos_spec(c.spec);
+    ASSERT_TRUE(spec.has_value());
+    run::RunnerConfig config;
+    config.gen.background_transit = 8;
+    config.gen.stub_ases = 12;
+    config.gen.monitors = 6;
+    config.gen.dests_per_monitor = 150;
+    config.first_cycle = 0;
+    config.last_cycle = 3;
+    config.threads = 2;
+    config.snapshot_format = c.format;
+    config.chaos = *spec;
+    run::Runner runner(config);
+    const run::RunOutcome outcome = runner.run_all_contained();
+    ASSERT_TRUE(outcome.manifest.complete());
+    const chaos::ChaosStats total = outcome.manifest.chaos_total();
+    EXPECT_GT(total.total(), 0u);
+    EXPECT_EQ(total.bytes_flipped > 0, spec->flip_byte > 0);
+    EXPECT_EQ(dataset::pack_checksum(chaos_fingerprint(outcome)), c.digest)
+        << c.spec << ", snapshot format v" << static_cast<int>(c.format);
+  }
 }
 
 }  // namespace

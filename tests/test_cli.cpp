@@ -299,6 +299,28 @@ TEST_F(CliPipeline, UsageErrorsExitOne) {
             kExitUsage);
 }
 
+TEST_F(CliPipeline, GenerateRejectsFewerThanOneSnapshot) {
+  // A month needs its cycle snapshot: --snapshots below 1 is a usage error
+  // (like an out-of-range --cycle), not a silent run that writes nothing.
+  for (const char* count : {"0", "-1"}) {
+    std::string out;
+    EXPECT_EQ(run_cmd({"generate", "--out", dir_.string(), "--cycle", "50",
+                       "--small", "--snapshots", count},
+                      &out),
+              kExitUsage)
+        << "--snapshots " << count;
+    EXPECT_NE(out.find("--snapshots"), std::string::npos) << out;
+    EXPECT_TRUE(fs::is_empty(dir_)) << "--snapshots " << count;
+  }
+  std::string out;
+  ASSERT_EQ(run_cmd({"generate", "--out", dir_.string(), "--cycle", "50",
+                     "--small", "--snapshots", "1"},
+                    &out),
+            0)
+      << out;
+  EXPECT_EQ(snapshot_files().size(), 1u);
+}
+
 TEST_F(CliPipeline, DataErrorsExitThree) {
   std::string out;
   EXPECT_EQ(run_cmd({"stats", (dir_ / "missing.mumw").string()}, &out),

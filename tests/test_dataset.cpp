@@ -4,26 +4,30 @@
 
 #include "dataset/ip2as.h"
 #include "dataset/pack.h"
-#include "dataset/trace.h"
+#include "dataset/trace_batch.h"
 #include "dataset/warts_lite.h"
 #include "icmp/icmp.h"
+#include "trace_builder.h"
 #include "util/rng.h"
 
 namespace mum::dataset {
 namespace {
 
+using test::HopSpec;
+using test::TraceSpec;
+
 net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
 
-TraceHop labeled_hop(std::uint32_t addr, std::uint32_t label) {
-  TraceHop hop;
+HopSpec labeled_hop(std::uint32_t addr, std::uint32_t label) {
+  HopSpec hop;
   hop.addr = ip(addr);
   hop.rtt_ms = 1.5;
   hop.labels.push(label, 0, 1);
   return hop;
 }
 
-TraceHop plain_hop(std::uint32_t addr) {
-  TraceHop hop;
+HopSpec plain_hop(std::uint32_t addr) {
+  HopSpec hop;
   hop.addr = ip(addr);
   hop.rtt_ms = 1.0;
   return hop;
@@ -32,18 +36,27 @@ TraceHop plain_hop(std::uint32_t addr) {
 // --- Trace basics -------------------------------------------------------
 
 TEST(Trace, AnonymousDetection) {
-  TraceHop hop;
-  EXPECT_TRUE(hop.anonymous());
-  hop.addr = ip(1);
-  EXPECT_FALSE(hop.anonymous());
+  TraceSpec t;
+  t.hops.push_back(HopSpec{});  // '*'
+  t.hops.push_back(plain_hop(1));
+  TraceBatch batch;
+  test::append(batch, t);
+  EXPECT_TRUE(batch.view(0).hop(0).anonymous());
+  EXPECT_FALSE(batch.view(0).hop(1).anonymous());
 }
 
 TEST(Trace, ExplicitTunnelDetection) {
-  Trace t;
+  TraceSpec t;
   t.hops.push_back(plain_hop(1));
-  EXPECT_FALSE(t.crosses_explicit_tunnel());
+  TraceBatch batch;
+  test::append(batch, t);
+  EXPECT_FALSE(batch.view(0).crosses_explicit_tunnel());
   t.hops.push_back(labeled_hop(2, 1000));
-  EXPECT_TRUE(t.crosses_explicit_tunnel());
+  test::append(batch, t);
+  EXPECT_TRUE(batch.view(1).crosses_explicit_tunnel());
+  // Labels on another trace's hops never leak into this one's range.
+  test::append(batch, TraceSpec{});
+  EXPECT_FALSE(batch.view(2).crosses_explicit_tunnel());
 }
 
 // --- Ip2As --------------------------------------------------------------
@@ -62,26 +75,33 @@ TEST(Ip2As, AnnotateFillsHopAndDestAsns) {
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x0A000000), 8), 65001);
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x0B000000), 8), 65002);
 
-  Trace t;
+  TraceSpec t;
   t.dst = ip(0x0B000001);
   t.hops.push_back(plain_hop(0x0A000001));
-  t.hops.push_back(TraceHop{});  // anonymous
+  t.hops.push_back(HopSpec{});  // anonymous
   t.hops.push_back(plain_hop(0x0C000001));  // unmapped
-  ip2as.annotate(t);
+  TraceBatch batch;
+  test::append(batch, t);
+  ip2as.annotate(batch);
 
-  EXPECT_EQ(t.dst_asn, 65002u);
-  EXPECT_EQ(t.hops[0].asn, 65001u);
-  EXPECT_EQ(t.hops[1].asn, kUnknownAsn);
-  EXPECT_EQ(t.hops[2].asn, kUnknownAsn);
+  const TraceView v = batch.view(0);
+  EXPECT_EQ(v.dst_asn(), 65002u);
+  EXPECT_EQ(v.hop(0).asn(), 65001u);
+  EXPECT_EQ(v.hop(1).asn(), kUnknownAsn);
+  EXPECT_EQ(v.hop(2).asn(), kUnknownAsn);
 }
 
 TEST(Ip2As, AnnotateVector) {
   Ip2As ip2as;
   ip2as.add_prefix(net::Ipv4Prefix(ip(0x0A000000), 8), 65001);
-  std::vector<Trace> traces(3);
-  for (auto& t : traces) t.dst = ip(0x0A000005);
-  ip2as.annotate(traces);
-  for (const auto& t : traces) EXPECT_EQ(t.dst_asn, 65001u);
+  TraceSpec t;
+  t.dst = ip(0x0A000005);
+  TraceBatch batch;
+  for (int i = 0; i < 3; ++i) test::append(batch, t);
+  ip2as.annotate(batch);
+  for (std::size_t i = 0; i < batch.trace_count(); ++i) {
+    EXPECT_EQ(batch.view(i).dst_asn(), 65001u);
+  }
 }
 
 // --- varints ------------------------------------------------------------
@@ -116,59 +136,58 @@ TEST(Varint, SmallValuesAreOneByte) {
 
 // --- warts-lite ---------------------------------------------------------
 
-Snapshot sample_snapshot() {
-  Snapshot snap;
-  snap.cycle_id = 42;
-  snap.sub_index = 1;
-  snap.date = "2014-12";
-  Trace t;
+std::vector<TraceSpec> sample_traces() {
+  TraceSpec t;
   t.monitor_id = 7;
   t.src = ip(0x01020304);
   t.dst = ip(0x05060708);
   t.reached = true;
   t.hops.push_back(plain_hop(0x0A000001));
-  t.hops.push_back(TraceHop{});  // anonymous hop
-  TraceHop multi = labeled_hop(0x0A000002, 300123);
+  t.hops.push_back(HopSpec{});  // anonymous hop
+  HopSpec multi = labeled_hop(0x0A000002, 300123);
   multi.labels.push(17, 2, 1);  // two-entry stack
   t.hops.push_back(multi);
-  snap.traces.push_back(t);
-  Trace unreached;
+  TraceSpec unreached;
   unreached.monitor_id = 8;
   unreached.src = ip(1);
   unreached.dst = ip(2);
   unreached.reached = false;
-  snap.traces.push_back(unreached);
-  return snap;
+  return {t, unreached};
+}
+
+SnapshotBatch sample_snapshot() {
+  return test::snapshot_of(sample_traces(), 42, 1, "2014-12");
 }
 
 TEST(WartsLite, RoundTripPreservesEverything) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
+  const std::vector<TraceSpec> want = sample_traces();
   const std::string bytes = serialize_snapshot(snap);
   const auto back = parse_snapshot(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
   EXPECT_EQ(back->date, snap.date);
-  ASSERT_EQ(back->traces.size(), snap.traces.size());
-  const Trace& t0 = back->traces[0];
+  ASSERT_EQ(back->trace_count(), snap.trace_count());
+  const TraceSpec t0 = test::spec_of(back->traces.view(0));
   EXPECT_EQ(t0.monitor_id, 7u);
-  EXPECT_EQ(t0.src, snap.traces[0].src);
-  EXPECT_EQ(t0.dst, snap.traces[0].dst);
+  EXPECT_EQ(t0.src, want[0].src);
+  EXPECT_EQ(t0.dst, want[0].dst);
   EXPECT_TRUE(t0.reached);
   ASSERT_EQ(t0.hops.size(), 3u);
   EXPECT_TRUE(t0.hops[1].anonymous());
-  EXPECT_EQ(t0.hops[2].labels, snap.traces[0].hops[2].labels);
+  EXPECT_EQ(t0.hops[2].labels, want[0].hops[2].labels);
   EXPECT_NEAR(t0.hops[0].rtt_ms, 1.0, 1e-3);
-  EXPECT_FALSE(back->traces[1].reached);
+  EXPECT_FALSE(back->traces.view(1).reached());
 }
 
 TEST(WartsLite, StreamRoundTrip) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   std::stringstream ss;
-  write_snapshot(ss, snap);
+  ss << serialize_snapshot(snap);
   const auto back = read_snapshot(ss);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->traces.size(), snap.traces.size());
+  EXPECT_EQ(back->trace_count(), snap.trace_count());
 }
 
 TEST(WartsLite, RejectsBadMagic) {
@@ -192,57 +211,50 @@ TEST(WartsLite, RejectsTruncation) {
 }
 
 TEST(WartsLite, EmptySnapshotRoundTrip) {
-  Snapshot snap;
-  snap.cycle_id = 0;
-  snap.date = "";
-  const auto back = parse_snapshot(serialize_snapshot(snap));
+  const auto back = parse_snapshot(serialize_snapshot(SnapshotBatch{}));
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->traces.empty());
 }
 
 TEST(WartsLite, AnonymousOnlyTraceRoundTrip) {
-  Snapshot snap;
-  snap.cycle_id = 9;
-  snap.date = "2013-01";
-  Trace t;
+  TraceSpec t;
   t.monitor_id = 3;
   t.src = ip(1);
   t.dst = ip(2);
   t.reached = false;
-  t.hops.assign(5, TraceHop{});  // every hop anonymous
-  snap.traces.push_back(t);
+  t.hops.assign(5, HopSpec{});  // every hop anonymous
+  const SnapshotBatch snap = test::snapshot_of({t}, 9, 0, "2013-01");
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->traces.size(), 1u);
-  ASSERT_EQ(back->traces[0].hops.size(), 5u);
-  for (const auto& hop : back->traces[0].hops) {
-    EXPECT_TRUE(hop.anonymous());
-    EXPECT_FALSE(hop.has_labels());
+  ASSERT_EQ(back->trace_count(), 1u);
+  const TraceView v = back->traces.view(0);
+  ASSERT_EQ(v.hop_count(), 5u);
+  for (std::size_t k = 0; k < v.hop_count(); ++k) {
+    EXPECT_TRUE(v.hop(k).anonymous());
+    EXPECT_FALSE(v.hop(k).has_labels());
   }
 }
 
 TEST(WartsLite, MaxDepthLabelStackRoundTrip) {
   // Quoted stacks deeper than anything the generator emits must still
   // round-trip exactly (the paper's data shows stacks up to ~6; go further).
-  Snapshot snap;
-  snap.date = "2015-06";
-  Trace t;
+  TraceSpec t;
   t.src = ip(1);
   t.dst = ip(2);
-  TraceHop hop = plain_hop(0x0A000001);
+  HopSpec hop = plain_hop(0x0A000001);
   for (std::uint32_t i = 0; i < 16; ++i) {
     hop.labels.push(net::kLabelFirstUnreserved + i,
                     static_cast<std::uint8_t>(i % 8),
                     static_cast<std::uint8_t>(255 - i));
   }
   t.hops.push_back(hop);
-  snap.traces.push_back(t);
+  const SnapshotBatch snap = test::snapshot_of({t}, 0, 0, "2015-06");
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->traces[0].hops.size(), 1u);
-  const auto& quoted = back->traces[0].hops[0].labels;
+  ASSERT_EQ(back->traces.view(0).hop_count(), 1u);
+  const net::LabelStack quoted = back->traces.view(0).hop(0).label_stack();
   ASSERT_EQ(quoted.depth(), 16u);
   EXPECT_EQ(quoted, hop.labels);
   EXPECT_TRUE(quoted.entries().back().bottom_of_stack());
@@ -356,7 +368,7 @@ TEST(WartsLite, TolerantNeverFailsOnBitFlippedCorpus) {
 }
 
 TEST(WartsLite, V1UnframedFaultAbandonsRemainder) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   const std::string v1 = serialize_snapshot(snap, 1);
   ASSERT_TRUE(parse_snapshot(v1).has_value());
 
@@ -409,8 +421,8 @@ TEST(PackFaults, OversizedSectionClaimIsBoundedNotAllocated) {
   EXPECT_GE(diag.count(FaultClass::kOversizedClaim), 1u);
   // The hop columns are gone; traces with hops are individually skipped,
   // the hopless record survives.
-  ASSERT_EQ(salvaged->traces.size(), 1u);
-  EXPECT_TRUE(salvaged->traces[0].hops.empty());
+  ASSERT_EQ(salvaged->trace_count(), 1u);
+  EXPECT_EQ(salvaged->traces.view(0).hop_count(), 0u);
 }
 
 TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
@@ -442,7 +454,7 @@ TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
 }
 
 TEST(WartsLite, TextRenderingContainsKeyFields) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   const std::string text = to_text(snap);
   EXPECT_NE(text.find("cycle=42"), std::string::npos);
   EXPECT_NE(text.find("10.0.0.2"), std::string::npos);
@@ -456,20 +468,19 @@ class WartsFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
   util::Rng rng(GetParam());
-  Snapshot snap;
-  snap.cycle_id = static_cast<std::uint32_t>(rng.below(100));
-  snap.sub_index = static_cast<std::uint32_t>(rng.below(30));
-  snap.date = "2013-07";
+  const auto cycle_id = static_cast<std::uint32_t>(rng.below(100));
+  const auto sub_index = static_cast<std::uint32_t>(rng.below(30));
+  std::vector<TraceSpec> traces;
   const int n = 1 + static_cast<int>(rng.below(20));
   for (int i = 0; i < n; ++i) {
-    Trace t;
+    TraceSpec t;
     t.monitor_id = static_cast<std::uint32_t>(rng.below(200));
     t.src = ip(static_cast<std::uint32_t>(rng.next()));
     t.dst = ip(static_cast<std::uint32_t>(rng.next()));
     t.reached = rng.chance(0.8);
     const int hops = static_cast<int>(rng.below(25));
     for (int h = 0; h < hops; ++h) {
-      TraceHop hop;
+      HopSpec hop;
       if (!rng.chance(0.1)) {
         hop.addr = ip(static_cast<std::uint32_t>(rng.next()));
         hop.rtt_ms = rng.uniform01() * 300.0;
@@ -481,15 +492,17 @@ TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
       }
       t.hops.push_back(std::move(hop));
     }
-    snap.traces.push_back(std::move(t));
+    traces.push_back(std::move(t));
   }
+  const SnapshotBatch snap =
+      test::snapshot_of(traces, cycle_id, sub_index, "2013-07");
 
   const auto back = parse_snapshot(serialize_snapshot(snap));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->traces.size(), snap.traces.size());
-  for (std::size_t i = 0; i < snap.traces.size(); ++i) {
-    const Trace& a = snap.traces[i];
-    const Trace& b = back->traces[i];
+  ASSERT_EQ(back->trace_count(), traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const TraceSpec& a = traces[i];
+    const TraceSpec b = test::spec_of(back->traces.view(i));
     EXPECT_EQ(a.src, b.src);
     EXPECT_EQ(a.dst, b.dst);
     EXPECT_EQ(a.reached, b.reached);

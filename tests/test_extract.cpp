@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trace_builder.h"
+
 namespace mum::lpr {
 namespace {
 
@@ -16,33 +18,31 @@ dataset::Ip2As test_ip2as() {
   return ip2as;
 }
 
-dataset::TraceHop plain(std::uint32_t addr) {
-  dataset::TraceHop hop;
+test::HopSpec plain(std::uint32_t addr) {
+  test::HopSpec hop;
   hop.addr = ip(addr);
   return hop;
 }
 
-dataset::TraceHop labeled(std::uint32_t addr, std::uint32_t label) {
-  dataset::TraceHop hop;
+test::HopSpec labeled(std::uint32_t addr, std::uint32_t label) {
+  test::HopSpec hop;
   hop.addr = ip(addr);
   hop.labels.push(label, 0, 1);
   return hop;
 }
 
-dataset::TraceHop anonymous() { return dataset::TraceHop{}; }
+test::HopSpec anonymous() { return test::HopSpec{}; }
 
-dataset::Snapshot snapshot_of(std::vector<dataset::Trace> traces) {
-  dataset::Snapshot snap;
-  snap.cycle_id = 1;
-  snap.date = "2014-12";
-  snap.traces = std::move(traces);
+dataset::SnapshotBatch snapshot_of(
+    const std::vector<test::TraceSpec>& traces) {
+  dataset::SnapshotBatch snap = test::snapshot_of(traces, 1, 0, "2014-12");
   test_ip2as().annotate(snap.traces);
   return snap;
 }
 
-dataset::Trace trace_of(std::vector<dataset::TraceHop> hops,
-                        std::uint32_t dst = 0x90000001) {
-  dataset::Trace t;
+test::TraceSpec trace_of(std::vector<test::HopSpec> hops,
+                         std::uint32_t dst = 0x90000001) {
+  test::TraceSpec t;
   t.dst = ip(dst);
   t.reached = true;
   t.hops = std::move(hops);
@@ -188,7 +188,7 @@ TEST(Extract, MplsIpCountedOnceAcrossTraces) {
 }
 
 TEST(Extract, StackedLabelsPreserved) {
-  dataset::TraceHop hop;
+  test::HopSpec hop;
   hop.addr = ip(0x10000002);
   hop.labels.push(100, 0, 1);  // bottom
   hop.labels.push(200, 0, 1);  // top

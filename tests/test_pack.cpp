@@ -15,6 +15,7 @@
 #include "dataset/snapshot_source.h"
 #include "dataset/warts_lite.h"
 #include "run/runner.h"
+#include "trace_builder.h"
 #include "util/mmap_file.h"
 #include "util/thread_pool.h"
 
@@ -25,35 +26,36 @@ namespace fs = std::filesystem;
 
 net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
 
-Snapshot sample_snapshot() {
-  Snapshot snap;
-  snap.cycle_id = 42;
-  snap.sub_index = 1;
-  snap.date = "2014-12";
-  Trace t;
+using test::HopSpec;
+using test::TraceSpec;
+
+std::vector<TraceSpec> sample_traces() {
+  TraceSpec t;
   t.monitor_id = 7;
   t.src = ip(0x01020304);
   t.dst = ip(0x05060708);
   t.reached = true;
-  TraceHop plain;
+  HopSpec plain;
   plain.addr = ip(0x0A000001);
   plain.rtt_ms = 1.25;
   t.hops.push_back(plain);
-  t.hops.push_back(TraceHop{});  // anonymous hop
-  TraceHop multi;
+  t.hops.push_back(HopSpec{});  // anonymous hop
+  HopSpec multi;
   multi.addr = ip(0x0A000002);
   multi.rtt_ms = 33.5;
   multi.labels.push(300123, 0, 1);
   multi.labels.push(17, 2, 255);
   t.hops.push_back(multi);
-  snap.traces.push_back(t);
-  Trace unreached;
+  TraceSpec unreached;
   unreached.monitor_id = 8;
   unreached.src = ip(1);
   unreached.dst = ip(2);
   unreached.reached = false;  // zero hops
-  snap.traces.push_back(unreached);
-  return snap;
+  return {t, unreached};
+}
+
+SnapshotBatch sample_snapshot() {
+  return test::snapshot_of(sample_traces(), 42, 1, "2014-12");
 }
 
 // Little-endian field surgery on serialized packs.
@@ -108,7 +110,8 @@ TEST(PackChecksum, DeterministicAndSensitive) {
 // --- round trips --------------------------------------------------------
 
 TEST(Pack, RoundTripPreservesEverything) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
+  const std::vector<TraceSpec> want = sample_traces();
   const std::string bytes = serialize_pack(snap);
   ASSERT_GE(bytes.size(), kPackHeaderBytes);
   EXPECT_EQ(bytes.substr(0, 4), "MUMP");
@@ -122,27 +125,25 @@ TEST(Pack, RoundTripPreservesEverything) {
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
   EXPECT_EQ(back->date, snap.date);
-  ASSERT_EQ(back->traces.size(), 2u);
-  const Trace& t0 = back->traces[0];
+  ASSERT_EQ(back->trace_count(), 2u);
+  const TraceSpec t0 = test::spec_of(back->traces.view(0));
   EXPECT_EQ(t0.monitor_id, 7u);
-  EXPECT_EQ(t0.src, snap.traces[0].src);
-  EXPECT_EQ(t0.dst, snap.traces[0].dst);
+  EXPECT_EQ(t0.src, want[0].src);
+  EXPECT_EQ(t0.dst, want[0].dst);
   EXPECT_TRUE(t0.reached);
   ASSERT_EQ(t0.hops.size(), 3u);
   EXPECT_NEAR(t0.hops[0].rtt_ms, 1.25, 1e-3);
   EXPECT_TRUE(t0.hops[1].anonymous());
-  EXPECT_EQ(t0.hops[2].labels, snap.traces[0].hops[2].labels);
-  EXPECT_FALSE(back->traces[1].reached);
-  EXPECT_TRUE(back->traces[1].hops.empty());
+  EXPECT_EQ(t0.hops[2].labels, want[0].hops[2].labels);
+  EXPECT_FALSE(back->traces.view(1).reached());
+  EXPECT_EQ(back->traces.view(1).hop_count(), 0u);
 
   // Serialization is deterministic byte-for-byte.
   EXPECT_EQ(serialize_pack(*back), bytes);
 }
 
 TEST(Pack, EmptySnapshotRoundTrip) {
-  Snapshot snap;
-  snap.cycle_id = 3;
-  snap.date = "2011-07";
+  const SnapshotBatch snap = test::snapshot_of({}, 3, 0, "2011-07");
   const auto back = parse_pack(serialize_pack(snap));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycle_id, 3u);
@@ -160,7 +161,7 @@ TEST(Pack, SectionsAreAligned) {
 }
 
 TEST(Pack, ViewExposesColumnsWithoutMaterializing) {
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   const std::string bytes = serialize_pack(snap);
   DecodeDiagnostics diag;
   const auto view = PackView::open(bytes, DecodeOptions{}, &diag);
@@ -172,7 +173,8 @@ TEST(Pack, ViewExposesColumnsWithoutMaterializing) {
   EXPECT_TRUE(view->trace_valid(0));
   EXPECT_FALSE(view->trace_valid(99));
   EXPECT_EQ(view->date(), "2014-12");
-  EXPECT_EQ(view->trace(1).monitor_id, 8u);
+  EXPECT_EQ(view->cycle_id(), 42u);
+  EXPECT_EQ(view->sub_index(), 1u);
 }
 
 // --- container faults ---------------------------------------------------
@@ -214,7 +216,7 @@ TEST(Pack, TruncationSweepIsBoundsSafe) {
     const auto t = parse_pack(cut, DecodeOptions{.tolerant = true}, &tol);
     if (len >= 5) {
       ASSERT_TRUE(t.has_value()) << "len " << len;
-      EXPECT_LE(t->traces.size(), 2u);
+      EXPECT_LE(t->trace_count(), 2u);
     } else {
       EXPECT_FALSE(t.has_value());
     }
@@ -238,7 +240,7 @@ TEST(Pack, ChecksumMismatchIsStrictFatalTolerantSurvivable) {
   EXPECT_EQ(tol.count(FaultClass::kChecksumMismatch), 1u);
   // The damaged column stays bounds-safe: all records still decode (with a
   // wrong rtt in one hop), nothing is lost structurally.
-  EXPECT_EQ(salvaged->traces.size(), 2u);
+  EXPECT_EQ(salvaged->trace_count(), 2u);
 }
 
 TEST(Pack, BadOffsetColumnSkipsExactlyTheDamagedRecord) {
@@ -260,8 +262,8 @@ TEST(Pack, BadOffsetColumnSkipsExactlyTheDamagedRecord) {
   EXPECT_EQ(tol.count(FaultClass::kBadOffsetIndex), 1u);
   EXPECT_EQ(tol.records_skipped, 1u);
   EXPECT_EQ(tol.records_decoded, 1u);
-  ASSERT_EQ(salvaged->traces.size(), 1u);
-  EXPECT_EQ(salvaged->traces[0].monitor_id, 8u);  // the undamaged record
+  ASSERT_EQ(salvaged->trace_count(), 1u);
+  EXPECT_EQ(salvaged->traces.view(0).monitor_id(), 8u);  // the undamaged one
 }
 
 // --- v2 <-> v3 parity ---------------------------------------------------
@@ -283,7 +285,7 @@ TEST(Pack, ParityWithV2AcrossFormatsAndThreadCounts) {
     dataset::MonthData out;
     out.cycle_id = month.cycle_id;
     out.date = month.date;
-    for (const Snapshot& snap : month.snapshots) {
+    for (const SnapshotBatch& snap : month.snapshots) {
       const std::string bytes =
           pack ? serialize_pack(snap) : serialize_snapshot(snap);
       auto back = decode_snapshot(bytes);
@@ -347,15 +349,17 @@ TEST(MmapFileTest, MapsReadsAndFallsBackGracefully) {
 // --- SnapshotSource -----------------------------------------------------
 
 TEST(SnapshotSourceTest, MemoryAndBytesSourcesDrain) {
-  std::vector<Snapshot> snaps{sample_snapshot(), Snapshot{}};
+  std::vector<SnapshotBatch> snaps;
+  snaps.push_back(sample_snapshot());
+  snaps.emplace_back();
   auto memory = make_memory_source(std::move(snaps));
-  EXPECT_EQ(memory->next()->traces.size(), 2u);
+  EXPECT_EQ(memory->next()->trace_count(), 2u);
   EXPECT_TRUE(memory->next().has_value());
   EXPECT_FALSE(memory->next().has_value());
   EXPECT_FALSE(memory->failed());
 
   // A bytes source decodes a mix of containers, sniffing each buffer.
-  const Snapshot snap = sample_snapshot();
+  const SnapshotBatch snap = sample_snapshot();
   auto bytes = make_bytes_source({serialize_snapshot(snap),
                                   serialize_pack(snap)});
   const auto via_v2 = bytes->next();
@@ -378,8 +382,8 @@ TEST(SnapshotSourceTest, FileSourceStreamsMixedFormats) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  Snapshot a = sample_snapshot();
-  Snapshot b = sample_snapshot();
+  const SnapshotBatch a = sample_snapshot();
+  SnapshotBatch b = sample_snapshot();
   b.sub_index = 2;
   std::ofstream(dir / "a.mumw", std::ios::binary) << serialize_snapshot(a);
   std::ofstream(dir / "b.mump", std::ios::binary) << serialize_pack(b);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -144,10 +143,8 @@ TEST(Merge, ClassCountsSumsAllClasses) {
 
 // --- serial vs parallel bit-identity -----------------------------------------
 
-std::string snapshot_bytes(const dataset::Snapshot& snap) {
-  std::ostringstream os;
-  dataset::write_snapshot(os, snap);
-  return os.str();
+std::string snapshot_bytes(const dataset::SnapshotBatch& snap) {
+  return dataset::serialize_snapshot(snap);
 }
 
 TEST(Determinism, SnapshotIdenticalAcrossThreadCounts) {

@@ -11,6 +11,7 @@
 #include "core/classify.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
+#include "trace_builder.h"
 
 namespace mum {
 namespace {
@@ -32,18 +33,20 @@ class PropertySweep : public ::testing::TestWithParam<std::uint64_t> {
       : internet(config_for(GetParam())),
         ip2as(internet.build_ip2as()),
         ctx(internet.instantiate(50)),
-        snapshot(gen::CampaignRunner(internet, ip2as).snapshot(ctx, 50, 0)) {}
+        snapshot(gen::CampaignRunner(internet, ip2as).snapshot(ctx, 50, 0)),
+        traces(test::specs_of(snapshot.traces)) {}
 
   gen::Internet internet;
   dataset::Ip2As ip2as;
   gen::MonthContext ctx;
-  dataset::Snapshot snapshot;
+  dataset::SnapshotBatch snapshot;
+  std::vector<test::TraceSpec> traces;  // `snapshot`, read back per hop
 };
 
 TEST_P(PropertySweep, QuotedStacksAreWellFormed) {
   // Every quoted LSE stack has exactly one bottom-of-stack flag, on its
   // last entry (RFC 3032).
-  for (const auto& trace : snapshot.traces) {
+  for (const auto& trace : traces) {
     for (const auto& hop : trace.hops) {
       if (hop.labels.empty()) continue;
       const auto& entries = hop.labels.entries();
@@ -58,7 +61,7 @@ TEST_P(PropertySweep, QuotedStacksAreWellFormed) {
 
 TEST_P(PropertySweep, LabelsRespectVendorRanges) {
   // Every quoted label must come out of the owning router's vendor pool.
-  for (const auto& trace : snapshot.traces) {
+  for (const auto& trace : traces) {
     for (const auto& hop : trace.hops) {
       if (hop.labels.empty() || hop.anonymous()) continue;
       const auto* as = internet.modeled(hop.asn);
@@ -110,7 +113,7 @@ TEST_P(PropertySweep, LdpLabelsAreRouterScopedInTraces) {
 TEST_P(PropertySweep, ExtractionNeverInventsLabels) {
   // Every (addr, label) pair in extracted LSPs exists verbatim in a trace.
   std::set<std::pair<net::Ipv4Addr, std::uint32_t>> in_traces;
-  for (const auto& trace : snapshot.traces) {
+  for (const auto& trace : traces) {
     for (const auto& hop : trace.hops) {
       for (const auto& lse : hop.labels.entries()) {
         in_traces.insert({hop.addr, lse.label()});
@@ -185,7 +188,7 @@ TEST_P(PropertySweep, ClassifiedIotpInvariants) {
 TEST_P(PropertySweep, TracesRespectAsPathOrder) {
   // Responding hops annotated with modelled ASes must appear in contiguous
   // AS segments (no interleaving A B A), matching valley-free forwarding.
-  for (const auto& trace : snapshot.traces) {
+  for (const auto& trace : traces) {
     std::vector<std::uint32_t> as_sequence;
     for (const auto& hop : trace.hops) {
       if (hop.anonymous() || hop.asn == 0) continue;

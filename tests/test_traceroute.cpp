@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mpls/ldp.h"
+#include "trace_builder.h"
 
 namespace mum::probe {
 namespace {
@@ -11,6 +14,19 @@ using topo::RouterId;
 using topo::Vendor;
 
 net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
+
+// One traceroute, read back from the batch it lands in.
+test::TraceSpec trace_route(const Monitor& monitor, const PathSpec& path,
+                            const TraceOptions& options, util::Rng& rng) {
+  dataset::TraceBatch batch;
+  trace_route_into(monitor, path, options, rng, batch);
+  return test::spec_of(batch.view(0));
+}
+
+bool crosses_explicit_tunnel(const test::TraceSpec& trace) {
+  return std::any_of(trace.hops.begin(), trace.hops.end(),
+                     [](const test::HopSpec& hop) { return hop.has_labels(); });
+}
 
 // Line AS: a - b - c with LDP, PHP.
 struct TraceFixture {
@@ -76,7 +92,7 @@ TEST(TraceRoute, FullCleanTrace) {
   TraceOptions options;
   options.reply_loss = 0.0;
   util::Rng rng(1);
-  const dataset::Trace trace = trace_route(f.monitor, f.path(), options, rng);
+  const auto trace = trace_route(f.monitor, f.path(), options, rng);
 
   EXPECT_EQ(trace.monitor_id, 3u);
   EXPECT_EQ(trace.src, f.monitor.addr);
@@ -127,7 +143,7 @@ TEST(TraceRoute, Rfc4950OffSuppressesLabelsNotHops) {
   ASSERT_EQ(trace.hops.size(), 6u);
   EXPECT_FALSE(trace.hops[2].anonymous());   // hop responds...
   EXPECT_FALSE(trace.hops[2].has_labels());  // ...but quotes nothing
-  EXPECT_FALSE(trace.crosses_explicit_tunnel());
+  EXPECT_FALSE(crosses_explicit_tunnel(trace));
 }
 
 TEST(TraceRoute, TtlPropagateOffShortensTrace) {
@@ -139,7 +155,7 @@ TEST(TraceRoute, TtlPropagateOffShortensTrace) {
   const auto trace = trace_route(f.monitor, f.path(), options, rng);
   // Interior LSR invisible: pre + entry + egress + post + dst = 5 hops.
   ASSERT_EQ(trace.hops.size(), 5u);
-  EXPECT_FALSE(trace.crosses_explicit_tunnel());
+  EXPECT_FALSE(crosses_explicit_tunnel(trace));
 }
 
 TEST(TraceRoute, MaxTtlTruncates) {

@@ -220,7 +220,7 @@ std::optional<dataset::Ip2As> load_ip2as(const std::string& path,
 // is the cycle; the rest feed the Persistence filter.
 struct LoadedData {
   dataset::Ip2As ip2as;
-  std::vector<dataset::Snapshot> snapshots;
+  std::vector<dataset::SnapshotBatch> snapshots;
   // What the decoder skipped across all files (clean in strict mode).
   dataset::DecodeDiagnostics decode;
 };
@@ -363,6 +363,10 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
   }
   if (cycle < 1 || cycle > gen::kCycles) {
     err << "--cycle must be in [1, " << gen::kCycles << "]\n";
+    return kExitUsage;
+  }
+  if (snapshots < 1) {
+    err << "--snapshots must be >= 1\n";
     return kExitUsage;
   }
   std::uint8_t format = dataset::kWartsLiteVersion;

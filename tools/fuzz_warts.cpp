@@ -17,7 +17,8 @@
 //     reports at least one fault;
 //   * whatever tolerant decode salvages re-serializes and re-parses cleanly
 //     in BOTH formats (the salvaged subset is a valid snapshot in its own
-//     right, and the two containers agree on it).
+//     right, and the two containers agree on it), and the pack ingest
+//     round-trips byte-stably (column memcpy in, column memcpy out).
 //
 // A third arm fuzzes run::parse_cycle_report (the ".mumc" checkpoint
 // format resume trusts): mutated checkpoints with header stomps, checksum
@@ -40,7 +41,7 @@ namespace {
 
 using mum::dataset::DecodeDiagnostics;
 using mum::dataset::DecodeOptions;
-using mum::dataset::Snapshot;
+using mum::dataset::SnapshotBatch;
 
 void check(bool ok, const char* what) {
   if (!ok) {
@@ -54,17 +55,18 @@ void run_one(const std::string& bytes) {
   const auto tolerant = mum::dataset::parse_snapshot(
       bytes, DecodeOptions{.tolerant = true}, &tolerant_diag);
   if (tolerant) {
-    check(tolerant_diag.records_decoded == tolerant->traces.size(),
+    check(tolerant_diag.records_decoded == tolerant->trace_count(),
           "records_decoded mismatches returned traces");
     // The salvaged subset must itself round-trip cleanly — through the
     // stream form and through the pack, and the two must agree.
+    const std::string stream_bytes =
+        mum::dataset::serialize_snapshot(*tolerant);
     DecodeDiagnostics clean;
     const auto again = mum::dataset::parse_snapshot(
-        mum::dataset::serialize_snapshot(*tolerant),
-        DecodeOptions{.tolerant = true}, &clean);
+        stream_bytes, DecodeOptions{.tolerant = true}, &clean);
     check(again.has_value(), "salvaged snapshot does not re-parse");
     check(clean.clean(), "salvaged snapshot re-parses with faults");
-    check(again->traces.size() == tolerant->traces.size(),
+    check(again->trace_count() == tolerant->trace_count(),
           "salvaged snapshot loses traces on round trip");
     DecodeDiagnostics pack_clean;
     const std::string pack_bytes = mum::dataset::serialize_pack(*tolerant);
@@ -72,26 +74,10 @@ void run_one(const std::string& bytes) {
         pack_bytes, DecodeOptions{.tolerant = true}, &pack_clean);
     check(packed.has_value(), "salvaged snapshot does not re-parse as pack");
     check(pack_clean.clean(), "salvaged pack re-parses with faults");
-    check(packed->traces.size() == tolerant->traces.size(),
-          "pack round trip loses traces");
-    // Batch arm: the columnar writer must agree with the AoS writer byte
-    // for byte on the salvage, and the zero-copy ingest must round-trip
-    // byte-stably (column memcpy in, column memcpy out).
-    mum::dataset::SnapshotBatch batch;
-    batch.cycle_id = tolerant->cycle_id;
-    batch.sub_index = tolerant->sub_index;
-    batch.date = tolerant->date;
-    for (const auto& trace : tolerant->traces) batch.traces.append(trace);
-    check(mum::dataset::serialize_pack(batch) == pack_bytes,
-          "batch pack writer diverges from AoS pack writer");
-    const auto view = mum::dataset::PackView::open(
-        pack_bytes, DecodeOptions{.tolerant = true}, nullptr);
-    check(view.has_value(), "salvaged pack does not open as a view");
-    const mum::dataset::SnapshotBatch reread = view->to_snapshot_batch();
-    check(reread.trace_count() == tolerant->traces.size(),
-          "batch ingest loses traces");
-    check(mum::dataset::serialize_pack(reread) == pack_bytes,
-          "batch pack round trip is not byte-stable");
+    check(mum::dataset::serialize_snapshot(*packed) == stream_bytes,
+          "stream and pack round trips disagree");
+    check(mum::dataset::serialize_pack(*packed) == pack_bytes,
+          "pack round trip is not byte-stable");
   } else {
     check(tolerant_diag.faults_total() > 0,
           "tolerant rejection without a recorded fault");
@@ -142,33 +128,37 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 namespace {
 
 // A small but structurally rich snapshot to mutate.
-Snapshot seed_snapshot(mum::util::Rng& rng) {
-  Snapshot snap;
+SnapshotBatch seed_snapshot(mum::util::Rng& rng) {
+  SnapshotBatch snap;
   snap.cycle_id = static_cast<std::uint32_t>(rng.below(60));
   snap.sub_index = static_cast<std::uint32_t>(rng.below(4));
   snap.date = "2014-06";
   const int traces = 1 + static_cast<int>(rng.below(6));
   for (int i = 0; i < traces; ++i) {
-    mum::dataset::Trace t;
-    t.monitor_id = static_cast<std::uint32_t>(rng.below(32));
-    t.src = mum::net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
-    t.dst = mum::net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
-    t.reached = rng.chance(0.8);
+    const auto monitor = static_cast<std::uint32_t>(rng.below(32));
+    const mum::net::Ipv4Addr src(static_cast<std::uint32_t>(rng.next()));
+    const mum::net::Ipv4Addr dst(static_cast<std::uint32_t>(rng.next()));
+    const bool reached = rng.chance(0.8);
+    snap.traces.begin_trace(monitor, src, dst);
     const int hops = static_cast<int>(rng.below(12));
     for (int h = 0; h < hops; ++h) {
-      mum::dataset::TraceHop hop;
-      if (!rng.chance(0.1)) {
-        hop.addr = mum::net::Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
-        hop.rtt_ms = rng.uniform01() * 200.0;
-        const int stack = static_cast<int>(rng.below(4));
-        for (int s = 0; s < stack; ++s) {
-          hop.labels.push(static_cast<std::uint32_t>(rng.below(1 << 20)),
-                          static_cast<std::uint8_t>(rng.below(8)), 64);
-        }
+      if (rng.chance(0.1)) {
+        snap.traces.add_hop(mum::net::kAnonymousAddr, 0.0);
+        continue;
       }
-      t.hops.push_back(std::move(hop));
+      const mum::net::Ipv4Addr addr(static_cast<std::uint32_t>(rng.next()));
+      snap.traces.add_hop(addr, rng.uniform01() * 200.0);
+      mum::net::LabelStack labels;
+      const int stack = static_cast<int>(rng.below(4));
+      for (int s = 0; s < stack; ++s) {
+        labels.push(static_cast<std::uint32_t>(rng.below(1 << 20)),
+                    static_cast<std::uint8_t>(rng.below(8)), 64);
+      }
+      for (const auto& lse : labels.entries()) {
+        snap.traces.add_label(lse.encode());
+      }
     }
-    snap.traces.push_back(std::move(t));
+    snap.traces.end_trace(reached);
   }
   return snap;
 }
