@@ -1,8 +1,8 @@
-// Ingest throughput: warts-lite v2 stream decode vs v3 pack mmap, over a
-// 60-cycle on-disk corpus (one snapshot per cycle, the paper's campaign
-// length). Reports bytes/s (SetBytesProcessed) and traces/s
-// (SetItemsProcessed); scripts/bench.sh records the numbers in
-// BENCH_PR6.json and gates on the v3/v2 traces-per-second ratio.
+// Ingest throughput of the warts-lite v3 pack over a 60-cycle on-disk
+// corpus (one snapshot per cycle, the paper's campaign length). Reports
+// bytes/s (SetBytesProcessed) and traces/s (SetItemsProcessed);
+// scripts/bench.sh records the numbers in BENCH_PR6.json and gates
+// BM_IngestV3Mmap on an absolute traces/s bound.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 
 #include "dataset/pack.h"
 #include "dataset/snapshot_source.h"
-#include "dataset/warts_lite.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
 #include "util/mmap_file.h"
@@ -24,15 +23,13 @@ using namespace mum;
 namespace fs = std::filesystem;
 
 struct Corpus {
-  std::vector<std::string> v2_paths;
   std::vector<std::string> v3_paths;
   std::uint64_t traces = 0;
-  std::uint64_t v2_bytes = 0;
   std::uint64_t v3_bytes = 0;
 };
 
-// Generate the corpus once, serialize every cycle in both containers, and
-// leave the files in tmp for the mmap path to map for real.
+// Generate the corpus once, serialize every cycle as a pack, and leave the
+// files in tmp for the mmap path to map for real.
 const Corpus& corpus() {
   static const Corpus c = [] {
     Corpus built;
@@ -54,43 +51,17 @@ const Corpus& corpus() {
       const auto snap = campaign.snapshot(ctx, cycle, 0);
       built.traces += snap.trace_count();
 
-      const std::string v2 = dataset::serialize_snapshot(snap);
       const std::string v3 = dataset::serialize_pack(snap);
-      built.v2_bytes += v2.size();
       built.v3_bytes += v3.size();
-      const fs::path base = dir / ("cycle_" + std::to_string(cycle + 1));
-      std::ofstream(base.string() + ".mumw", std::ios::binary) << v2;
-      std::ofstream(base.string() + ".mump", std::ios::binary) << v3;
-      built.v2_paths.push_back(base.string() + ".mumw");
-      built.v3_paths.push_back(base.string() + ".mump");
+      const fs::path path =
+          dir / ("cycle_" + std::to_string(cycle + 1) + ".mump");
+      std::ofstream(path, std::ios::binary) << v3;
+      built.v3_paths.push_back(path.string());
     }
     return built;
   }();
   return c;
 }
-
-// v2 baseline: map each shard (same I/O path as v3) and run the varint
-// stream decoder — one branchy parse per byte (a framing pass, then a fill
-// pass into the batch columns).
-void BM_IngestV2Stream(benchmark::State& state) {
-  const Corpus& c = corpus();
-  for (auto _ : state) {
-    std::uint64_t traces = 0;
-    for (const auto& path : c.v2_paths) {
-      const auto file = util::MmapFile::open_ro(path);
-      const auto snap = dataset::parse_snapshot_v2(file->view());
-      traces += snap->trace_count();
-    }
-    if (traces != c.traces) state.SkipWithError("v2 decode lost traces");
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.v2_bytes));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.traces));
-  state.SetLabel(std::to_string(c.v2_paths.size()) + " shards, " +
-                 std::to_string(c.traces) + " traces");
-}
-BENCHMARK(BM_IngestV2Stream)->Unit(benchmark::kMillisecond);
 
 // v3 ingest: mmap each shard and open a validated zero-copy view —
 // section-table bounds checks, per-section checksums, offset-column scans.
@@ -116,17 +87,16 @@ void BM_IngestV3Mmap(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestV3Mmap)->Unit(benchmark::kMillisecond);
 
-// Apples-to-apples with the v2 baseline: validate AND copy every record into
-// an owning SnapshotBatch. The delta against BM_IngestV3Mmap is the cost of
-// leaving the zero-copy regime.
+// Validate AND copy every record into an owning SnapshotBatch. The delta
+// against BM_IngestV3Mmap is the cost of leaving the zero-copy regime.
 void BM_IngestV3Materialize(benchmark::State& state) {
   const Corpus& c = corpus();
   for (auto _ : state) {
     std::uint64_t traces = 0;
     for (const auto& path : c.v3_paths) {
       const auto file = util::MmapFile::open_ro(path);
-      const auto snap = dataset::parse_pack(file->view());
-      traces += snap->trace_count();
+      const auto view = dataset::PackView::open(file->view(), {}, nullptr);
+      traces += view->snapshot().trace_count();
     }
     if (traces != c.traces) state.SkipWithError("v3 decode lost traces");
   }
@@ -137,26 +107,20 @@ void BM_IngestV3Materialize(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestV3Materialize)->Unit(benchmark::kMillisecond);
 
-// The unified ingest stack end to end (sniffing + diagnostics accounting),
-// as Runner and the CLI consume it.
+// The ingest stack end to end (decode + diagnostics accounting), as Runner
+// and the CLI consume it.
 void BM_IngestFileSource(benchmark::State& state) {
   const Corpus& c = corpus();
-  const bool pack = state.range(0) != 0;
-  const auto& paths = pack ? c.v3_paths : c.v2_paths;
   for (auto _ : state) {
-    auto source = dataset::make_file_source(paths);
+    auto source = dataset::make_file_source(c.v3_paths);
     std::uint64_t traces = 0;
     while (const auto snap = source->next()) traces += snap->trace_count();
     if (traces != c.traces) state.SkipWithError("source lost traces");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.traces));
-  state.SetLabel(pack ? "v3" : "v2");
 }
-BENCHMARK(BM_IngestFileSource)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IngestFileSource)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

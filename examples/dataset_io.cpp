@@ -1,16 +1,17 @@
 // dataset_io: the offline workflow — generate an Archipelago-style month,
-// persist it in the warts-lite binary format, reload it from disk, and run
-// LPR on the reloaded data (what a user with archived campaigns would do).
+// persist it as warts-lite v3 packs (one .mump shard per snapshot), reload
+// it from disk, and run LPR on the reloaded data (what a user with archived
+// campaigns would do).
 //
 //   $ ./dataset_io [directory=/tmp/mum_dataset]
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 
 #include "core/report.h"
-#include "dataset/warts_lite.h"
+#include "dataset/snapshot_source.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
+#include "run/checkpoint.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -18,7 +19,6 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
 
   const fs::path dir = argc > 1 ? argv[1] : "/tmp/mum_dataset";
-  fs::create_directories(dir);
 
   // 1. Generate one month of probing data.
   gen::GenConfig config;
@@ -32,19 +32,18 @@ int main(int argc, char** argv) {
   const dataset::MonthData month =
       gen::CampaignRunner(internet, ip2as).month(cycle);
 
-  // 2. Persist every snapshot as a warts-lite file.
-  std::vector<fs::path> files;
+  // 2. Persist every snapshot as a pack shard (atomic temp + rename).
+  std::vector<std::string> files;
   std::uintmax_t bytes = 0;
   for (const dataset::SnapshotBatch& snap : month.snapshots) {
     const fs::path file =
-        dir / ("cycle" + std::to_string(snap.cycle_id) + "_s" +
-               std::to_string(snap.sub_index) + ".mumw");
-    const std::string encoded = dataset::serialize_snapshot(snap);
-    std::ofstream os(file, std::ios::binary);
-    os.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-    os.close();
+        dir / run::data_shard_filename(cycle, snap.sub_index);
+    if (!run::write_data_shard(dir.string(), cycle, snap.sub_index, snap)) {
+      std::cerr << "failed to write " << file << '\n';
+      return 1;
+    }
     bytes += fs::file_size(file);
-    files.push_back(file);
+    files.push_back(file.string());
   }
   std::cout << "wrote " << files.size() << " snapshots ("
             << month.cycle().trace_count() << " traces each, " << bytes
@@ -56,15 +55,14 @@ int main(int argc, char** argv) {
   dataset::MonthData reloaded;
   reloaded.cycle_id = month.cycle_id;
   reloaded.date = month.date;
-  for (const fs::path& file : files) {
-    std::ifstream is(file, std::ios::binary);
-    auto snap = dataset::read_snapshot(is);
-    if (!snap) {
-      std::cerr << "failed to parse " << file << '\n';
-      return 1;
-    }
+  const auto source = dataset::make_file_source(files);
+  while (auto snap = source->next()) {
     ip2as.annotate(snap->traces);
     reloaded.snapshots.push_back(std::move(*snap));
+  }
+  if (source->failed()) {
+    std::cerr << "failed to decode " << source->error() << '\n';
+    return 1;
   }
 
   // 4. LPR on the reloaded data must agree with LPR on the in-memory data.

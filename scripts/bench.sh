@@ -5,9 +5,10 @@
 #   1. bench/micro_lpr    -> BENCH_PR4.json  (LPR/IGP hot paths, with the
 #      pre-PR IGP baselines embedded so the speedup is auditable from the
 #      artifact alone)
-#   2. bench/micro_ingest -> BENCH_PR6.json (warts-lite v2 stream decode vs
-#      v3 pack mmap ingest over a 60-cycle corpus, bytes/s and traces/s;
-#      gated: v3 mmap must ingest at >= 5x the v2 traces/s)
+#   2. bench/micro_ingest -> BENCH_PR6.json (warts-lite v3 pack ingest over
+#      a 60-cycle corpus, bytes/s and traces/s; gated on an absolute bound
+#      taken from the deleted v2 stream decoder's row in the committed
+#      BENCH_PR6.json: v3 mmap must ingest at >= 5x its 2,933,745 traces/s)
 #   3. bench/micro_obs    -> BENCH_PR7.json (telemetry primitives plus a
 #      small campaign with telemetry fully on — trace sink + registry
 #      dump — vs fully off; gated: on/off wall-clock ratio <= 1.03)
@@ -96,11 +97,18 @@ echo "wrote $repo/BENCH_PR4.json"
 require_baselines "$repo/BENCH_PR4.json" \
   baseline_igp_compute_ns baseline_igp_reconverge_ns baseline_commit
 
+# This gate once compared the v3 pack against the v2 stream decoder inside
+# one report. That decoder is deleted, so BM_IngestV3Mmap is now held to an
+# absolute bound from the BM_IngestV2Stream row in the committed
+# BENCH_PR6.json: the old >= 5x ratio becomes >= 5 x 2,933,745 traces/s
+# (~14.67 M traces/s). The baseline rides in the report context so the bound
+# is auditable from the artifact alone.
 ingest_args=(
   --benchmark_format=json
   --benchmark_out="$repo/BENCH_PR6.json"
   --benchmark_out_format=json
   "${context_args[@]}"
+  --benchmark_context=baseline_v2_traces_per_s=2933745
 )
 if [[ -n "$filter" ]]; then
   ingest_args+=(--benchmark_filter="$filter")
@@ -108,6 +116,7 @@ fi
 
 "$build/bench/micro_ingest" "${ingest_args[@]}"
 echo "wrote $repo/BENCH_PR6.json"
+require_baselines "$repo/BENCH_PR6.json" baseline_v2_traces_per_s
 
 python3 - "$repo/BENCH_PR6.json" <<'PY'
 import json, sys
@@ -115,20 +124,22 @@ import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
 by_name = {b["name"]: b for b in report["benchmarks"]}
-v2 = by_name.get("BM_IngestV2Stream")
 v3 = by_name.get("BM_IngestV3Mmap")
-if v2 is None or v3 is None:
-    print("ingest gate skipped (benchmarks filtered out)")
+if v3 is None:
+    print("ingest gate skipped (benchmark filtered out)")
     sys.exit(0)
-ratio = v3["items_per_second"] / v2["items_per_second"]
+v2_baseline = float(report["context"]["baseline_v2_traces_per_s"])
+bound = 5.0 * v2_baseline
 print(
-    f"ingest: v2 stream {v2['items_per_second']:,.0f} traces/s "
-    f"({v2['bytes_per_second'] / 1e9:.2f} GB/s), "
-    f"v3 mmap {v3['items_per_second']:,.0f} traces/s "
-    f"({v3['bytes_per_second'] / 1e9:.2f} GB/s) -> {ratio:.1f}x"
+    f"ingest: v3 mmap {v3['items_per_second']:,.0f} traces/s "
+    f"({v3['bytes_per_second'] / 1e9:.2f} GB/s), bound {bound:,.0f} "
+    f"(5x the v2 stream baseline {v2_baseline:,.0f})"
 )
-if ratio < 5.0:
-    sys.exit(f"ingest gate FAILED: v3/v2 = {ratio:.2f}x, need >= 5x")
+if v3["items_per_second"] < bound:
+    sys.exit(
+        f"ingest gate FAILED: {v3['items_per_second']:,.0f} traces/s is "
+        f"below {bound:,.0f} (5x the v2 stream baseline)"
+    )
 PY
 
 obs_args=(

@@ -86,8 +86,9 @@ echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
 # test_batch's damaged-pack ingest and the fuzzer's round-trip arm both
 # drive the zero-copy column views over hostile bytes; test_dataset's
-# tolerant-decode corpora drive the v2 decoder's framing and fill passes
-# into batch columns; test_chaos drives the columnar corruptor.
+# truncated and bit-flipped pack corpora drive the section-table validator
+# and the damaged-record fill path into batch columns; test_chaos drives
+# the columnar corruptor.
 cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
   --target test_batch --target test_dataset
 "$asan_build/tools/fuzz_warts" --iters 10000

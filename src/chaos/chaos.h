@@ -125,8 +125,9 @@ class Corruptor {
   void corrupt(dataset::SnapshotBatch& snapshot);
 
   // Apply wire faults to a serialized snapshot. The 5-byte magic+version
-  // header is spared so corrupted files still identify as warts-lite and
-  // exercise the record-level tolerant paths rather than the magic check.
+  // header is spared so corrupted files still identify as packs and
+  // exercise the section- and record-level tolerant paths rather than the
+  // magic check.
   // `key` seeds the stream (callers pass the same cycle/sub lineage they
   // would pass structurally).
   void corrupt_bytes(std::string& bytes, std::uint64_t key);

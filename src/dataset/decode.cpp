@@ -9,11 +9,7 @@ const char* to_cstring(FaultClass fault) noexcept {
     case FaultClass::kBadMagic: return "bad_magic";
     case FaultClass::kBadVersion: return "bad_version";
     case FaultClass::kTruncatedHeader: return "truncated_header";
-    case FaultClass::kBadTraceHeader: return "bad_trace_header";
-    case FaultClass::kBadHop: return "bad_hop";
-    case FaultClass::kBadLabelStack: return "bad_label_stack";
     case FaultClass::kOversizedClaim: return "oversized_claim";
-    case FaultClass::kRecordOverrun: return "record_overrun";
     case FaultClass::kTrailingBytes: return "trailing_bytes";
     case FaultClass::kBadSectionTable: return "bad_section_table";
     case FaultClass::kChecksumMismatch: return "checksum_mismatch";

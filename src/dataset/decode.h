@@ -1,6 +1,6 @@
 // Decode fault taxonomy and diagnostics for tolerant dataset ingest.
 //
-// The warts-lite decoder runs in one of two modes:
+// The pack decoder (dataset/pack.h) runs in one of two modes:
 //
 //   * strict   — the first malformed field aborts the decode (nullopt), with
 //     the fault class and exact byte offset reported in DecodeDiagnostics.
@@ -8,7 +8,7 @@
 //     storage problem the operator must see.
 //   * tolerant — malformed records are skipped and counted; everything that
 //     does decode is returned. Arbitrary bytes never throw and never invoke
-//     UB; resource claims (trace/hop/stack counts) are validated against the
+//     UB; resource claims (section sizes, offsets) are validated against the
 //     bytes actually present before any allocation. This is the mode for
 //     real-world messy captures, mirroring how the paper's pipeline survives
 //     partial Archipelago data.
@@ -31,23 +31,16 @@ class JsonWriter;
 namespace mum::dataset {
 
 enum class FaultClass : std::uint8_t {
-  kBadMagic = 0,      // not a warts-lite container at all
+  kBadMagic = 0,      // not a warts-lite pack at all
   kBadVersion,        // unknown format version
-  kTruncatedHeader,   // snapshot header ends mid-field
-  kBadTraceHeader,    // a trace record's fixed fields are malformed
-  kBadHop,            // a hop's fields are malformed / truncated
-  kBadLabelStack,     // a quoted label stack is malformed / truncated
-  kOversizedClaim,    // a count field claims more than the bytes can hold
-  kRecordOverrun,     // a v2 record frame exceeds the remaining buffer
-  kTrailingBytes,     // a record (or the file) carries unconsumed bytes
-  // v3 pack (columnar) container faults — see dataset/pack.h. Oversized
-  // section claims (a table entry pointing past the mapping) reuse
-  // kOversizedClaim above; these cover the structurally distinct cases.
+  kTruncatedHeader,   // header or section table ends mid-field
+  kOversizedClaim,    // a count/size field claims more than the bytes hold
+  kTrailingBytes,     // the file carries bytes past its declared size
   kBadSectionTable,   // duplicate/misaligned/overlapping section entry
   kChecksumMismatch,  // stored section checksum does not match the bytes
   kBadOffsetIndex,    // an offset column is non-monotonic or out of range
 };
-inline constexpr std::size_t kFaultClassCount = 12;
+inline constexpr std::size_t kFaultClassCount = 8;
 
 const char* to_cstring(FaultClass fault) noexcept;
 

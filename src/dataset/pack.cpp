@@ -61,8 +61,136 @@ std::size_t aligned_up(std::size_t n) noexcept {
   return (n + kPackAlignment - 1) & ~(kPackAlignment - 1);
 }
 
-std::size_t section_index(PackSection s) noexcept {
+constexpr std::size_t section_index(PackSection s) noexcept {
   return static_cast<std::size_t>(s);
+}
+
+using SectionFlags = std::array<bool, kPackSectionCount>;
+using SectionSizes = std::array<std::size_t, kPackSectionCount>;
+// Record counts of the trace columns and of the hop columns.
+using FamilyCounts = std::array<std::optional<std::size_t>, 2>;
+
+// Tolerant table repair rests on the table being redundant: the writer lays
+// the sections out in id order, each aligned right after its predecessor,
+// and the five trace columns all encode n_traces, the three hop columns
+// n_hops. A damaged entry therefore shows up as a column whose size
+// disagrees with its siblings' majority, as an overlap, or as an entry the
+// walk rejected. Such a section is re-placed from the layout and its
+// payload read as suspect, like a checksum mismatch, so one flipped table
+// field costs at most the records it really damages rather than a whole
+// column and with it every record.
+
+constexpr std::size_t kFirstTraceCol =
+    section_index(PackSection::kTraceMonitor);
+constexpr std::size_t kFirstHopCol = section_index(PackSection::kHopAddr);
+constexpr std::size_t kLseOffsetCol =
+    section_index(PackSection::kHopLseOffset);
+constexpr std::size_t kLsePoolCol = section_index(PackSection::kLsePool);
+
+constexpr bool is_offset_col(std::size_t s) {
+  return s == section_index(PackSection::kTraceHopOffset) ||
+         s == kLseOffsetCol;
+}
+
+// Records a column of `bytes` holds (an offset column has one extra entry).
+std::size_t records(std::size_t s, std::size_t bytes) {
+  const std::size_t n = bytes / kElemSize[s];
+  return is_offset_col(s) ? (n == 0 ? ~std::size_t{0} : n - 1) : n;
+}
+
+// Per family, the record count most present columns agree on, if at least
+// two do.
+FamilyCounts vote_counts(const SectionFlags& present,
+                         const SectionSizes& len) {
+  FamilyCounts count;
+  for (std::size_t family = 0; family < 2; ++family) {
+    const std::size_t lo = family == 0 ? kFirstTraceCol : kFirstHopCol;
+    const std::size_t hi = family == 0 ? kFirstHopCol : kLseOffsetCol + 1;
+    std::size_t best = 1;
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (!present[s]) continue;
+      std::size_t votes = 0;
+      for (std::size_t t = lo; t < hi; ++t) {
+        votes += present[t] && records(t, len[t]) == records(s, len[s]);
+      }
+      if (votes > best) {
+        best = votes;
+        count[family] = records(s, len[s]);
+      }
+    }
+  }
+  return count;
+}
+
+// The payload size the layout implies for section s, when known. The label
+// pool is sized by the last entry of the label-offset column; the date has
+// nothing to size it.
+std::optional<std::size_t> layout_bytes(std::size_t s,
+                                        const FamilyCounts& count,
+                                        std::string_view bytes,
+                                        const SectionFlags& present,
+                                        const SectionSizes& off,
+                                        const SectionSizes& len) {
+  if (s == kLsePoolCol) {
+    const std::size_t at = kLseOffsetCol;
+    if (!present[at] || len[at] < 8) return std::nullopt;
+    const std::uint64_t lses = le64(bytes.data() + off[at] + len[at] - 8);
+    if (lses > bytes.size() / 4) return std::nullopt;
+    return static_cast<std::size_t>(lses) * 4;
+  }
+  if (s < kFirstTraceCol) return std::nullopt;
+  const auto& n = count[s < kFirstHopCol ? 0 : 1];
+  if (!n) return std::nullopt;
+  return (*n + (is_offset_col(s) ? 1 : 0)) * kElemSize[s];
+}
+
+// Re-place every missing section the layout can size, anchored on its
+// nearest present predecessor (else successor) plus the layout sizes of
+// the sections in between, when the result fits the mapping and overlaps
+// nothing present.
+void replace_sections(std::string_view bytes, const FamilyCounts& count,
+                      SectionFlags& present, SectionSizes& off,
+                      SectionSizes& len) {
+  const auto size_of = [&](std::size_t s) {
+    return layout_bytes(s, count, bytes, present, off, len);
+  };
+  constexpr std::size_t kNone = ~std::size_t{0};
+  const std::size_t table_end =
+      kPackHeaderBytes + kPackSectionCount * kPackSectionEntryBytes;
+  for (std::size_t s = kFirstTraceCol; s < kPackSectionCount; ++s) {
+    const auto want = size_of(s);
+    if (present[s] || !want) continue;
+    std::size_t p = s;
+    while (p > 0 && !present[p - 1]) --p;
+    std::size_t q = s + 1;
+    while (q < kPackSectionCount && !present[q]) ++q;
+    std::size_t at = kNone;
+    if (p > 0) {
+      at = aligned_up(off[p - 1] + len[p - 1]);
+      for (std::size_t k = p; k < s && at != kNone; ++k) {
+        at = size_of(k) ? aligned_up(at + *size_of(k)) : kNone;
+      }
+    }
+    if (at == kNone && q < kPackSectionCount) {
+      std::size_t span = 0;
+      for (std::size_t k = s; k < q && span != kNone; ++k) {
+        span = size_of(k) ? span + aligned_up(*size_of(k)) : kNone;
+      }
+      if (span <= off[q]) at = off[q] - span;
+    }
+    if (at == kNone || at < table_end || at > bytes.size() ||
+        *want > bytes.size() - at) {
+      continue;
+    }
+    bool overlaps = false;
+    for (std::size_t t = 0; t < kPackSectionCount; ++t) {
+      overlaps |= present[t] && at < off[t] + len[t] && off[t] < at + *want;
+    }
+    if (overlaps) continue;
+    present[s] = true;
+    off[s] = at;
+    len[s] = *want;
+  }
 }
 
 // Host-order column -> little-endian wire bytes. On LE hosts a straight
@@ -161,8 +289,7 @@ std::string serialize_pack(const SnapshotBatch& snapshot) {
   copy_le(at(PackSection::kHopLseOffset), b.lse_off_col());
   copy_le(at(PackSection::kLsePool), b.lse_pool_col());
   {
-    // The one per-element column: quantize RTT doubles to ms*1000 exactly
-    // as the per-record writer does.
+    // The one per-element column: quantize RTT doubles to ms*1000.
     char* rtt_out = at(PackSection::kHopRtt);
     const auto rtts = b.hop_rtt_col();
     for (std::size_t h = 0; h < n_hops; ++h) {
@@ -269,27 +396,25 @@ std::optional<PackView> PackView::open(std::string_view bytes,
     return tolerant ? std::optional<PackView>(view) : fail_strict();
   }
 
-  // Walk the table; accept each structurally sound section exactly once.
+  // Walk the table: entry e describes section e (the writer emits them in
+  // id order), so an id that disagrees with its position is damage. Strict
+  // mode drops the entry; tolerant mode keeps trusting the position, whose
+  // remaining fields still vouch for the section.
   std::array<bool, kPackSectionCount> present{};
   for (std::uint32_t e = 0; e < section_count; ++e) {
     const std::size_t at = kPackHeaderBytes + e * kPackSectionEntryBytes;
-    const std::uint32_t id = le32(bytes.data() + at);
+    const std::uint32_t claimed = le32(bytes.data() + at);
     const std::uint32_t elem = le32(bytes.data() + at + 4);
     const std::uint64_t sec_off = le64(bytes.data() + at + 8);
     const std::uint64_t sec_bytes = le64(bytes.data() + at + 16);
     const std::uint64_t checksum = le64(bytes.data() + at + 24);
-    if (id >= kPackSectionCount) {
-      // Unknown sections from a future writer would be skippable; random
-      // ids in a version-3 pack are damage.
+    if (claimed != e || e >= kPackSectionCount) {
       diag.add_fault(FaultClass::kBadSectionTable, at, 0,
-                     "unknown section id " + std::to_string(id));
-      continue;
+                     "entry " + std::to_string(e) + " claims section id " +
+                         std::to_string(claimed));
+      if (!tolerant || e >= kPackSectionCount) continue;
     }
-    if (present[id]) {
-      diag.add_fault(FaultClass::kBadSectionTable, at, 0,
-                     "duplicate section id " + std::to_string(id));
-      continue;
-    }
+    const std::uint32_t id = e;
     if (elem != kElemSize[id] || sec_bytes % kElemSize[id] != 0 ||
         sec_off % kPackAlignment != 0 || sec_off < table_end) {
       diag.add_fault(FaultClass::kBadSectionTable, at, 0,
@@ -316,8 +441,28 @@ std::optional<PackView> PackView::open(std::string_view bytes,
     view.section_bytes_[id] = static_cast<std::size_t>(sec_bytes);
   }
 
+  // Tolerant table repair, first step: drop columns whose size the sibling
+  // majority contradicts. The counts are voted before the overlap check so
+  // that sections it drops can still be sized and re-placed afterwards.
+  FamilyCounts counts;
+  if (tolerant) {
+    counts = vote_counts(present, view.section_bytes_);
+    for (std::size_t s = kFirstTraceCol; s <= kLseOffsetCol; ++s) {
+      const auto want = layout_bytes(s, counts, bytes, present,
+                                     view.section_off_, view.section_bytes_);
+      if (present[s] && want && *want != view.section_bytes_[s]) {
+        diag.add_fault(FaultClass::kBadSectionTable,
+                       kPackHeaderBytes + s * kPackSectionEntryBytes, 0,
+                       "section " + std::to_string(s) +
+                           " size disagrees with its sibling columns");
+        present[s] = false;
+      }
+    }
+  }
+
   // Reject overlapping payloads: sort accepted sections by offset and check
-  // adjacent pairs. Overlap means at least one of the claims lies.
+  // adjacent pairs. Overlap means at least one of the claims lies, so both
+  // are dropped (tolerant mode re-places them below).
   {
     std::array<std::size_t, kPackSectionCount> order{};
     std::size_t n = 0;
@@ -339,6 +484,10 @@ std::optional<PackView> PackView::open(std::string_view bytes,
         present[a] = present[b] = false;
       }
     }
+  }
+  if (tolerant) {
+    replace_sections(bytes, counts, present, view.section_off_,
+                     view.section_bytes_);
   }
 
   if (present[section_index(PackSection::kDate)]) {
@@ -579,14 +728,6 @@ SnapshotBatch PackView::snapshot() const {
         0);
   }
   return out;
-}
-
-std::optional<SnapshotBatch> parse_pack(std::string_view bytes,
-                                        const DecodeOptions& options,
-                                        DecodeDiagnostics* diagnostics) {
-  const auto view = PackView::open(bytes, options, diagnostics);
-  if (!view) return std::nullopt;
-  return view->snapshot();
 }
 
 }  // namespace mum::dataset

@@ -1,9 +1,7 @@
-// warts-lite v3 "pack": an mmap-able columnar snapshot layout.
-//
-// The v2 stream (warts_lite.h) is varint-framed and must be decoded
-// record-by-record; a month of captures costs one branchy parse per byte.
-// The pack flips the layout to structure-of-arrays so ingest is pointer
-// arithmetic over a read-only mapping:
+// warts-lite v3 "pack": the one on-disk snapshot container, an mmap-able
+// columnar layout. It is the TraceBatch's structure-of-arrays image, so
+// ingest is pointer arithmetic over a read-only mapping rather than a
+// record-by-record parse:
 //
 //   file   := header | section table | sections (8-byte aligned, zero pad)
 //   header := magic "MUMP" | u8 version=3 | u8[3] zero
@@ -13,8 +11,8 @@
 //             | u64 checksum                                       (32 B)
 //
 // All integers are little-endian on the wire regardless of host; every
-// section offset is 8-byte aligned. The ten sections (PackSection) are the
-// snapshot's columns: fixed trace fields as flat arrays, hop addr/rtt
+// section offset is 8-byte aligned. The ten sections (PackSection), listed
+// in id order and laid out back to back, are the snapshot's columns: fixed trace fields as flat arrays, hop addr/rtt
 // columns indexed by a per-trace offset table, and the label-stack pool as
 // one contiguous u32 array indexed by a per-hop offset table. Offsets are
 // prefix sums (entry i covers [off[i], off[i+1])), so slicing any record is
@@ -26,13 +24,13 @@
 // pipeline instead of serializing on one multiply per byte). Tolerant
 // validation therefore reduces to: bounds-check the section table against
 // the mapping, verify checksums, scan the two offset columns. A trace whose
-// offsets are inconsistent is skipped individually; structural damage to a
-// whole column degrades to an empty snapshot with the fault on record,
-// matching the v2 tolerant contract (arbitrary bytes never read past the
-// mapping, never throw, never invoke UB).
-//
-// v2 remains the interchange/fuzz format; the pack is the ingest format for
-// campaign-scale archives (see DESIGN.md Sec. 11 for the byte budget).
+// offsets are inconsistent is skipped individually; a damaged table entry
+// is re-placed from the redundant layout (sibling columns agree on the
+// record counts); a column that still cannot be placed costs the traces
+// that need it, and missing core trace columns degrade to an empty
+// snapshot with the fault on record (arbitrary bytes never read past the
+// mapping, never throw, never invoke UB). See DESIGN.md Sec. 11 for the
+// envelope, fault taxonomy and byte budget.
 #pragma once
 
 #include <array>
@@ -61,7 +59,7 @@ enum class PackSection : std::uint32_t {
   kTraceReached,    // u8[n_traces]
   kTraceHopOffset,  // u64[n_traces + 1], prefix offsets into hop columns
   kHopAddr,         // u32[n_hops]
-  kHopRtt,          // u32[n_hops], rtt_ms * 1000 rounded (same as v2)
+  kHopRtt,          // u32[n_hops], rtt_ms * 1000 rounded
   kHopLseOffset,    // u64[n_hops + 1], prefix offsets into the LSE pool
   kLsePool,         // u32[n_lses], RFC 3032 wire words (LabelStackEntry)
 };
@@ -108,7 +106,7 @@ class PackView {
   // is a column copy into the batch arena (no per-record slicing); damaged
   // packs reserve the valid records' exact hop and LSE counts, then append
   // those records column by column. AS annotations are not persisted —
-  // re-annotate via Ip2As, as with every warts-lite form.
+  // re-annotate via Ip2As.
   SnapshotBatch snapshot() const;
 
  private:
@@ -126,11 +124,5 @@ class PackView {
   std::array<std::size_t, kPackSectionCount> section_bytes_{};
   std::vector<bool> invalid_;  // empty when every record is valid
 };
-
-// One-shot convenience: open + snapshot. nullopt exactly when open
-// fails (strict: any fault; tolerant: unrecognizable container only).
-std::optional<SnapshotBatch> parse_pack(std::string_view bytes,
-                                   const DecodeOptions& options = {},
-                                   DecodeDiagnostics* diagnostics = nullptr);
 
 }  // namespace mum::dataset

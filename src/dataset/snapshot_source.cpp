@@ -1,14 +1,9 @@
 #include "dataset/snapshot_source.h"
 
-#include <istream>
-#include <sstream>
 #include <utility>
 
 #include "dataset/pack.h"
-#include "dataset/warts_lite.h"
 #include "obs/telemetry.h"
-#include "util/io.h"
-#include "util/mmap_file.h"
 #include "util/thread_pool.h"
 
 namespace mum::dataset {
@@ -58,12 +53,8 @@ std::optional<SnapshotBatch> decode_snapshot(std::string_view bytes,
   const std::uint64_t skipped_before = diag->records_skipped;
 
   std::optional<SnapshotBatch> snap;
-  if (bytes.size() >= sizeof kPackMagic &&
-      bytes.compare(0, sizeof kPackMagic, kPackMagic, sizeof kPackMagic) ==
-          0) {
-    snap = parse_pack(bytes, options, diag);
-  } else {
-    snap = parse_snapshot_v2(bytes, options, diag);
+  if (const auto view = PackView::open(bytes, options, diag)) {
+    snap = view->snapshot();
   }
 
   IngestMetrics& m = IngestMetrics::get();
@@ -79,205 +70,71 @@ std::optional<SnapshotBatch> decode_snapshot(std::string_view bytes,
   return snap;
 }
 
-// --- legacy entry points (warts_lite.h) --------------------------------
-// Thin sniffing wrappers so existing call sites transparently accept both
-// the stream and the pack container.
+SnapshotSource::SnapshotSource(std::vector<std::string> paths,
+                               const DecodeOptions& options,
+                               util::ThreadPool* pool)
+    : paths_(std::move(paths)),
+      options_(options),
+      pool_(pool),
+      // Mappings may run on pool workers that lack the caller's
+      // CycleScope, so capture its (cycle, attempt) lineage here and key
+      // every map op explicitly — fault draws are then identical no matter
+      // which thread performs the map.
+      context_(util::io::capture_context()) {}
 
-std::optional<SnapshotBatch> parse_snapshot(std::string_view bytes,
-                                            const DecodeOptions& options,
-                                            DecodeDiagnostics* diagnostics) {
-  return decode_snapshot(bytes, options, diagnostics);
-}
-
-std::optional<SnapshotBatch> read_snapshot(std::istream& is,
-                                           const DecodeOptions& options,
-                                           DecodeDiagnostics* diagnostics) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string bytes = std::move(buffer).str();
-  return decode_snapshot(bytes, options, diagnostics);
-}
-
-// --- sources -----------------------------------------------------------
-
-namespace {
-
-const std::string kEmptyString;
-const DecodeDiagnostics kEmptyDiagnostics;
-
-class MemorySource final : public SnapshotSource {
- public:
-  explicit MemorySource(std::vector<SnapshotBatch> snapshots)
-      : snapshots_(std::move(snapshots)) {}
-
-  std::optional<SnapshotBatch> next() override {
-    if (index_ >= snapshots_.size()) return std::nullopt;
-    return std::move(snapshots_[index_++]);
+std::optional<SnapshotBatch> SnapshotSource::next() {
+  if (!error_.empty() || index_ >= paths_.size()) return std::nullopt;
+  // A failed prefetch retries here once before declaring the shard dead
+  // (a fresh ordinal, so an injected fault does not deterministically
+  // recur on the retry).
+  if (!staged_) {
+    staged_ =
+        util::io::env().map_file(paths_[index_], context_, map_ordinal_++);
   }
-  const DecodeDiagnostics& diagnostics() const noexcept override {
-    return kEmptyDiagnostics;
-  }
-  const DecodeDiagnostics& last_diagnostics() const noexcept override {
-    return kEmptyDiagnostics;
-  }
-  const std::string& last_path() const noexcept override {
-    return kEmptyString;
-  }
-  const std::string& error() const noexcept override { return kEmptyString; }
-  SourceErrorKind error_kind() const noexcept override {
-    return SourceErrorKind::kNone;
+  std::optional<util::MmapFile> current = std::move(staged_);
+  staged_.reset();
+  const std::size_t i = index_++;
+  last_path_ = paths_[i];
+  last_diag_ = DecodeDiagnostics{};
+  if (!current) {
+    error_ = last_path_ + ": cannot read";
+    kind_ = SourceErrorKind::kUnreadable;
+    return std::nullopt;
   }
 
- private:
-  std::vector<SnapshotBatch> snapshots_;
-  std::size_t index_ = 0;
-};
-
-class BytesSource final : public SnapshotSource {
- public:
-  BytesSource(std::vector<std::string> buffers, const DecodeOptions& options)
-      : buffers_(std::move(buffers)), options_(options) {}
-
-  std::optional<SnapshotBatch> next() override {
-    if (!error_.empty() || index_ >= buffers_.size()) return std::nullopt;
-    const std::size_t i = index_++;
-    last_diag_ = DecodeDiagnostics{};
-    auto snap = decode_snapshot(buffers_[i], options_, &last_diag_);
-    diag_.merge(last_diag_);
-    if (!snap) {
-      error_ = "buffer " + std::to_string(i) + ": not a decodable snapshot";
-      return std::nullopt;
-    }
-    return snap;
+  std::optional<SnapshotBatch> snap;
+  if (index_ < paths_.size() && pool_ != nullptr) {
+    // Overlap: decode shard i here while a worker maps shard i+1. Both
+    // indices write disjoint state; parallel_for joins before we read it.
+    // The ordinal is drawn before dispatch so the fault key never depends
+    // on pool scheduling.
+    const std::uint64_t ordinal = map_ordinal_++;
+    std::optional<util::MmapFile> prefetched;
+    util::parallel_for(pool_, 2, [&](std::size_t k) {
+      if (k == 0) {
+        snap = decode_snapshot(current->view(), options_, &last_diag_);
+      } else {
+        prefetched =
+            util::io::env().map_file(paths_[index_], context_, ordinal);
+      }
+    });
+    staged_ = std::move(prefetched);
+  } else {
+    snap = decode_snapshot(current->view(), options_, &last_diag_);
   }
-  const DecodeDiagnostics& diagnostics() const noexcept override {
-    return diag_;
+  diag_.merge(last_diag_);
+  if (!snap) {
+    error_ = last_path_ + ": not a warts-lite snapshot";
+    kind_ = SourceErrorKind::kUndecodable;
+    return std::nullopt;
   }
-  const DecodeDiagnostics& last_diagnostics() const noexcept override {
-    return last_diag_;
-  }
-  const std::string& last_path() const noexcept override {
-    return kEmptyString;
-  }
-  const std::string& error() const noexcept override { return error_; }
-  SourceErrorKind error_kind() const noexcept override {
-    return error_.empty() ? SourceErrorKind::kNone
-                          : SourceErrorKind::kUndecodable;
-  }
-
- private:
-  std::vector<std::string> buffers_;
-  DecodeOptions options_;
-  std::size_t index_ = 0;
-  DecodeDiagnostics diag_;
-  DecodeDiagnostics last_diag_;
-  std::string error_;
-};
-
-class FileSource final : public SnapshotSource {
- public:
-  FileSource(std::vector<std::string> paths, const DecodeOptions& options,
-             util::ThreadPool* pool)
-      : paths_(std::move(paths)),
-        options_(options),
-        pool_(pool),
-        // Mappings may run on pool workers that lack the caller's
-        // CycleScope, so capture its (cycle, attempt) lineage here and key
-        // every map op explicitly — fault draws are then identical no
-        // matter which thread performs the map.
-        context_(util::io::capture_context()) {}
-
-  std::optional<SnapshotBatch> next() override {
-    if (!error_.empty() || index_ >= paths_.size()) return std::nullopt;
-    // A failed prefetch retries here once before declaring the shard dead
-    // (a fresh ordinal, so an injected fault does not deterministically
-    // recur on the retry).
-    if (!staged_) {
-      staged_ =
-          util::io::env().map_file(paths_[index_], context_, map_ordinal_++);
-    }
-    std::optional<util::MmapFile> current = std::move(staged_);
-    staged_.reset();
-    const std::size_t i = index_++;
-    last_path_ = paths_[i];
-    last_diag_ = DecodeDiagnostics{};
-    if (!current) {
-      error_ = last_path_ + ": cannot read";
-      kind_ = SourceErrorKind::kUnreadable;
-      return std::nullopt;
-    }
-
-    std::optional<SnapshotBatch> snap;
-    if (index_ < paths_.size() && pool_ != nullptr) {
-      // Overlap: decode shard i here while a worker maps shard i+1. Both
-      // indices write disjoint state; parallel_for joins before we read it.
-      // The ordinal is drawn before dispatch so the fault key never depends
-      // on pool scheduling.
-      const std::uint64_t ordinal = map_ordinal_++;
-      std::optional<util::MmapFile> prefetched;
-      util::parallel_for(pool_, 2, [&](std::size_t k) {
-        if (k == 0) {
-          snap = decode_snapshot(current->view(), options_, &last_diag_);
-        } else {
-          prefetched =
-              util::io::env().map_file(paths_[index_], context_, ordinal);
-        }
-      });
-      staged_ = std::move(prefetched);
-    } else {
-      snap = decode_snapshot(current->view(), options_, &last_diag_);
-    }
-    diag_.merge(last_diag_);
-    if (!snap) {
-      error_ = last_path_ + ": not a warts-lite snapshot";
-      kind_ = SourceErrorKind::kUndecodable;
-      return std::nullopt;
-    }
-    return snap;
-  }
-  const DecodeDiagnostics& diagnostics() const noexcept override {
-    return diag_;
-  }
-  const DecodeDiagnostics& last_diagnostics() const noexcept override {
-    return last_diag_;
-  }
-  const std::string& last_path() const noexcept override {
-    return last_path_;
-  }
-  const std::string& error() const noexcept override { return error_; }
-  SourceErrorKind error_kind() const noexcept override { return kind_; }
-
- private:
-  std::vector<std::string> paths_;
-  DecodeOptions options_;
-  util::ThreadPool* pool_;
-  util::io::OpContext context_;
-  std::uint64_t map_ordinal_ = 0;
-  std::size_t index_ = 0;
-  std::optional<util::MmapFile> staged_;  // mapping for paths_[index_]
-  DecodeDiagnostics diag_;
-  DecodeDiagnostics last_diag_;
-  std::string last_path_;
-  std::string error_;
-  SourceErrorKind kind_ = SourceErrorKind::kNone;
-};
-
-}  // namespace
-
-std::unique_ptr<SnapshotSource> make_memory_source(
-    std::vector<SnapshotBatch> snapshots) {
-  return std::make_unique<MemorySource>(std::move(snapshots));
-}
-
-std::unique_ptr<SnapshotSource> make_bytes_source(
-    std::vector<std::string> buffers, const DecodeOptions& options) {
-  return std::make_unique<BytesSource>(std::move(buffers), options);
+  return snap;
 }
 
 std::unique_ptr<SnapshotSource> make_file_source(std::vector<std::string> paths,
                                                  const DecodeOptions& options,
                                                  util::ThreadPool* pool) {
-  return std::make_unique<FileSource>(std::move(paths), options, pool);
+  return std::make_unique<SnapshotSource>(std::move(paths), options, pool);
 }
 
 }  // namespace mum::dataset

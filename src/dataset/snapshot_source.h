@@ -1,17 +1,13 @@
-// SnapshotSource: one ingest API over every way snapshots reach the
-// pipeline — in-memory (generated campaigns), decoded byte buffers (tests,
-// fuzzing, checkpoint splicing), and on-disk shard sets (v2 .mumw streams
-// and v3 .mump packs, freely mixed).
+// SnapshotSource: the ingest API for on-disk shard sets — one v3 pack
+// (dataset/pack.h) per file, decoded in order.
 //
-// Consumers pull with next() until nullopt and never care which container
-// format a shard used: decode_snapshot() sniffs the magic ("MUMW" = v1/v2
-// stream, "MUMP" = v3 pack) and dispatches. Decode faults accumulate in
-// diagnostics() under the shared FaultClass taxonomy; error() is reserved
-// for shards that are not a warts-lite container at all (unreadable file,
-// unrecognizable magic) — the stream stops at such a shard so the caller
-// can decide whether that is fatal.
+// Consumers pull with next() until nullopt. Decode faults accumulate in
+// diagnostics() under the FaultClass taxonomy; error() is reserved for
+// shards that are not a pack at all (unreadable file, unrecognizable
+// magic/version) — the stream stops at such a shard so the caller can
+// decide whether that is fatal.
 //
-// The file source overlaps I/O with decode: while shard N is decoded on the
+// The source overlaps I/O with decode: while shard N is decoded on the
 // calling thread, shard N+1 is mapped (util::MmapFile) by a pool worker, so
 // a cold ingest streams at decode speed rather than decode + load speed.
 #pragma once
@@ -24,6 +20,7 @@
 
 #include "dataset/decode.h"
 #include "dataset/trace_batch.h"
+#include "util/io.h"
 
 namespace mum::util {
 class ThreadPool;
@@ -31,10 +28,10 @@ class ThreadPool;
 
 namespace mum::dataset {
 
-// Decode one snapshot from any warts-lite container, sniffing the magic to
-// pick the v1/v2 stream decoder or the v3 pack validator. Same contract as
-// both: strict = nullopt on the first fault, tolerant = best effort with
-// faults in `diagnostics`, nullopt only for an unrecognizable container.
+// The one decode entry point: validate a pack (PackView::open) and copy its
+// valid records into a batch, metering the ingest.* telemetry. Strict =
+// nullopt on the first fault; tolerant = best effort with faults in
+// `diagnostics`, nullopt only for an unrecognizable container.
 std::optional<SnapshotBatch> decode_snapshot(
     std::string_view bytes, const DecodeOptions& options = {},
     DecodeDiagnostics* diagnostics = nullptr);
@@ -45,42 +42,51 @@ std::optional<SnapshotBatch> decode_snapshot(
 enum class SourceErrorKind : std::uint8_t {
   kNone = 0,
   kUnreadable,    // map/read of the shard failed
-  kUndecodable,   // bytes read but not a warts-lite container
+  kUndecodable,   // bytes read but not a pack
 };
 
 class SnapshotSource {
  public:
-  virtual ~SnapshotSource() = default;
+  // Maps each file in order. With a pool, mapping shard N+1 overlaps
+  // decoding shard N.
+  SnapshotSource(std::vector<std::string> paths, const DecodeOptions& options,
+                 util::ThreadPool* pool);
 
   // The next snapshot, or nullopt when the stream is exhausted — or broken;
   // distinguish with error().
-  virtual std::optional<SnapshotBatch> next() = 0;
+  std::optional<SnapshotBatch> next();
 
   // Decode faults accumulated over everything next() has consumed.
-  virtual const DecodeDiagnostics& diagnostics() const noexcept = 0;
+  const DecodeDiagnostics& diagnostics() const noexcept { return diag_; }
   // Faults from only the most recent next() (per-shard reporting).
-  virtual const DecodeDiagnostics& last_diagnostics() const noexcept = 0;
-  // Path of the shard the most recent next() consumed ("" when sourceless).
-  virtual const std::string& last_path() const noexcept = 0;
+  const DecodeDiagnostics& last_diagnostics() const noexcept {
+    return last_diag_;
+  }
+  // Path of the shard the most recent next() consumed.
+  const std::string& last_path() const noexcept { return last_path_; }
 
   // Non-empty once a shard could not be read or recognized; next() has
   // returned nullopt and will keep doing so.
-  virtual const std::string& error() const noexcept = 0;
+  const std::string& error() const noexcept { return error_; }
   // Classifies error() (kNone while the stream is healthy).
-  virtual SourceErrorKind error_kind() const noexcept = 0;
-  bool failed() const noexcept { return !error().empty(); }
+  SourceErrorKind error_kind() const noexcept { return kind_; }
+  bool failed() const noexcept { return !error_.empty(); }
+
+ private:
+  std::vector<std::string> paths_;
+  DecodeOptions options_;
+  util::ThreadPool* pool_;
+  util::io::OpContext context_;
+  std::uint64_t map_ordinal_ = 0;
+  std::size_t index_ = 0;
+  std::optional<util::MmapFile> staged_;  // mapping for paths_[index_]
+  DecodeDiagnostics diag_;
+  DecodeDiagnostics last_diag_;
+  std::string last_path_;
+  std::string error_;
+  SourceErrorKind kind_ = SourceErrorKind::kNone;
 };
 
-// Yields already-materialized snapshots in order. Never fails.
-std::unique_ptr<SnapshotSource> make_memory_source(
-    std::vector<SnapshotBatch> snapshots);
-
-// Decodes each byte buffer (any format) in order.
-std::unique_ptr<SnapshotSource> make_bytes_source(
-    std::vector<std::string> buffers, const DecodeOptions& options = {});
-
-// Maps/reads each file (any format) in order. With a pool, loading shard
-// N+1 overlaps decoding shard N.
 std::unique_ptr<SnapshotSource> make_file_source(
     std::vector<std::string> paths, const DecodeOptions& options = {},
     util::ThreadPool* pool = nullptr);

@@ -1,146 +1,8 @@
 #include "dataset/warts_lite.h"
 
-#include <cmath>
 #include <sstream>
 
 namespace mum::dataset {
-
-namespace {
-
-// Minimum encoded sizes, used to validate count claims before allocating:
-// a hop is at least addr(4) + rtt(4) + n_lse(1), a trace at least
-// monitor(1) + src(4) + dst(4) + reached(1) + n_hops(1).
-constexpr std::size_t kMinHopBytes = 9;
-constexpr std::size_t kMinTraceBytes = 11;
-constexpr std::size_t kMinLseBytes = 4;
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::optional<std::uint8_t> get_u8(std::string_view in, std::size_t& pos,
-                                   std::size_t limit) {
-  if (pos >= limit) return std::nullopt;
-  return static_cast<std::uint8_t>(in[pos++]);
-}
-
-std::optional<std::uint32_t> get_u32(std::string_view in, std::size_t& pos,
-                                     std::size_t limit) {
-  if (pos + 4 > limit) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return v;
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_varint(out, s.size());
-  out.append(s);
-}
-
-std::optional<std::string> get_string(std::string_view in, std::size_t& pos,
-                                      std::size_t limit) {
-  const auto len = get_varint(in, pos, limit);
-  if (!len || *len > limit - pos) return std::nullopt;
-  std::string s(in.substr(pos, *len));
-  pos += *len;
-  return s;
-}
-
-// Record sinks for decode_trace: the framing pass counts what a record
-// holds, the fill pass appends it to the batch.
-struct RecordCounter {
-  std::size_t hops = 0;
-  std::size_t lses = 0;
-  void begin(std::uint32_t, std::uint32_t, std::uint32_t, bool) {}
-  void hop(std::uint32_t, std::uint32_t) { ++hops; }
-  void label(std::uint32_t) { ++lses; }
-  void end() {}
-};
-
-struct RecordWriter {
-  TraceBatch& batch;
-  bool reached = false;
-  void begin(std::uint32_t monitor, std::uint32_t src, std::uint32_t dst,
-             bool reached_flag) {
-    batch.begin_trace(monitor, net::Ipv4Addr(src), net::Ipv4Addr(dst));
-    reached = reached_flag;
-  }
-  void hop(std::uint32_t addr, std::uint32_t rtt_x1000) {
-    batch.add_hop(net::Ipv4Addr(addr), static_cast<double>(rtt_x1000) / 1000.0);
-  }
-  void label(std::uint32_t word) { batch.add_label(word); }
-  void end() { batch.end_trace(reached); }
-};
-
-// Decode one trace from [pos, limit) into `sink`. On malformation, records
-// one fault in `diag` (class, offset of the failing field, record index) and
-// returns false — the caller decides whether that aborts (strict) or skips
-// (tolerant). The sink may have seen part of a malformed record, so only
-// the counter is ever handed records that were not validated first.
-template <class Sink>
-bool decode_trace(std::string_view in, std::size_t& pos, std::size_t limit,
-                  std::uint64_t record, DecodeDiagnostics& diag, Sink& sink) {
-  std::size_t field = pos;
-  const auto monitor = get_varint(in, pos, limit);
-  const auto src = get_u32(in, pos, limit);
-  const auto dst = get_u32(in, pos, limit);
-  const auto reached = get_u8(in, pos, limit);
-  const auto n_hops = get_varint(in, pos, limit);
-  if (!monitor || !src || !dst || !reached || !n_hops) {
-    diag.add_fault(FaultClass::kBadTraceHeader, field, record,
-                   "trace header truncated");
-    return false;
-  }
-  if (*n_hops > (limit - pos) / kMinHopBytes) {
-    diag.add_fault(FaultClass::kOversizedClaim, field, record,
-                   "hop count " + std::to_string(*n_hops) +
-                       " exceeds remaining bytes");
-    return false;
-  }
-  sink.begin(static_cast<std::uint32_t>(*monitor), *src, *dst, *reached != 0);
-  for (std::uint64_t h = 0; h < *n_hops; ++h) {
-    field = pos;
-    const auto addr = get_u32(in, pos, limit);
-    const auto rtt = get_u32(in, pos, limit);
-    const auto n_lse = get_varint(in, pos, limit);
-    if (!addr || !rtt || !n_lse) {
-      diag.add_fault(FaultClass::kBadHop, field, record,
-                     "hop " + std::to_string(h) + " truncated");
-      return false;
-    }
-    if (*n_lse > (limit - pos) / kMinLseBytes) {
-      diag.add_fault(FaultClass::kOversizedClaim, field, record,
-                     "label stack depth " + std::to_string(*n_lse) +
-                         " exceeds remaining bytes");
-      return false;
-    }
-    sink.hop(*addr, *rtt);
-    for (std::uint64_t s = 0; s < *n_lse; ++s) {
-      field = pos;
-      const auto word = get_u32(in, pos, limit);
-      if (!word) {
-        diag.add_fault(FaultClass::kBadLabelStack, field, record,
-                       "label stack truncated");
-        return false;
-      }
-      sink.label(*word);
-    }
-  }
-  sink.end();
-  return true;
-}
-
-}  // namespace
 
 void put_varint(std::string& out, std::uint64_t value) {
   while (value >= 0x80) {
@@ -152,14 +14,9 @@ void put_varint(std::string& out, std::uint64_t value) {
 
 std::optional<std::uint64_t> get_varint(std::string_view in,
                                         std::size_t& pos) {
-  return get_varint(in, pos, in.size());
-}
-
-std::optional<std::uint64_t> get_varint(std::string_view in, std::size_t& pos,
-                                        std::size_t limit) {
   std::uint64_t value = 0;
   int shift = 0;
-  while (pos < limit) {
+  while (pos < in.size()) {
     const auto byte = static_cast<unsigned char>(in[pos++]);
     if (shift >= 64 || (shift == 63 && (byte & 0x7e))) return std::nullopt;
     value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
@@ -167,193 +24,6 @@ std::optional<std::uint64_t> get_varint(std::string_view in, std::size_t& pos,
     shift += 7;
   }
   return std::nullopt;  // truncated
-}
-
-std::string serialize_snapshot(const SnapshotBatch& snapshot,
-                               std::uint8_t version) {
-  std::string out;
-  out.append(kWartsLiteMagic, sizeof kWartsLiteMagic);
-  put_u8(out, version);
-  put_varint(out, snapshot.cycle_id);
-  put_varint(out, snapshot.sub_index);
-  put_string(out, snapshot.date);
-  put_varint(out, snapshot.trace_count());
-  std::string record;
-  for (std::size_t i = 0; i < snapshot.trace_count(); ++i) {
-    const TraceView t = snapshot.traces.view(i);
-    std::string& sink = version >= 2 ? record : out;
-    if (version >= 2) record.clear();
-    put_varint(sink, t.monitor_id());
-    put_u32(sink, t.src().value());
-    put_u32(sink, t.dst().value());
-    put_u8(sink, t.reached() ? 1 : 0);
-    put_varint(sink, t.hop_count());
-    for (std::size_t k = 0; k < t.hop_count(); ++k) {
-      const HopView h = t.hop(k);
-      put_u32(sink, h.addr().value());
-      put_u32(sink,
-              static_cast<std::uint32_t>(std::lround(h.rtt_ms() * 1000.0)));
-      put_varint(sink, h.label_depth());
-      for (const std::uint32_t word : h.lse_words()) put_u32(sink, word);
-    }
-    if (version >= 2) {
-      put_varint(out, record.size());
-      out.append(record);
-    }
-  }
-  return out;
-}
-
-std::optional<SnapshotBatch> parse_snapshot_v2(
-    std::string_view bytes, const DecodeOptions& options,
-    DecodeDiagnostics* diagnostics) {
-  DecodeDiagnostics scratch;
-  DecodeDiagnostics& diag = diagnostics != nullptr ? *diagnostics : scratch;
-  const std::size_t size = bytes.size();
-
-  std::size_t pos = 0;
-  if (size < sizeof kWartsLiteMagic + 1 ||
-      bytes.compare(0, sizeof kWartsLiteMagic, kWartsLiteMagic,
-                    sizeof kWartsLiteMagic) != 0) {
-    diag.add_fault(FaultClass::kBadMagic, 0, 0,
-                   "missing MUMW magic — not a warts-lite container");
-    return std::nullopt;
-  }
-  pos = sizeof kWartsLiteMagic;
-  const std::uint8_t version = static_cast<std::uint8_t>(bytes[pos++]);
-  if (version < 1 || version > kWartsLiteVersion) {
-    diag.add_fault(FaultClass::kBadVersion, sizeof kWartsLiteMagic, 0,
-                   "unsupported version " + std::to_string(version));
-    return std::nullopt;
-  }
-  const bool framed = version >= 2;
-
-  SnapshotBatch snap;
-  std::size_t field = pos;
-  const auto cycle_id = get_varint(bytes, pos);
-  const auto sub_index = get_varint(bytes, pos);
-  // Header faults past the magic/version: the container is recognizable, so
-  // tolerant mode keeps its promise and returns what decoded (an empty
-  // snapshot) with the fault on record; only strict mode aborts.
-  if (!cycle_id || !sub_index) {
-    diag.add_fault(FaultClass::kTruncatedHeader, field, 0,
-                   "snapshot header truncated");
-    if (!options.tolerant) return std::nullopt;
-    return snap;
-  }
-  snap.cycle_id = static_cast<std::uint32_t>(*cycle_id);
-  snap.sub_index = static_cast<std::uint32_t>(*sub_index);
-  field = pos;
-  const auto date = get_string(bytes, pos, size);
-  if (!date) {
-    diag.add_fault(FaultClass::kTruncatedHeader, field, 0,
-                   "date string truncated");
-    if (!options.tolerant) return std::nullopt;
-    return snap;
-  }
-  snap.date = *date;
-
-  field = pos;
-  const auto n_traces = get_varint(bytes, pos);
-  if (!n_traces) {
-    diag.add_fault(FaultClass::kTruncatedHeader, field, 0,
-                   "trace count truncated");
-    if (!options.tolerant) return std::nullopt;
-    return snap;
-  }
-  // Validate the claim before allocating: the remaining bytes bound how many
-  // records can possibly follow. An inflated claim is a fault of its own in
-  // strict mode; tolerant mode records it and decodes what is actually there.
-  const std::uint64_t max_traces = (size - pos) / kMinTraceBytes;
-  const bool claim_credible = *n_traces <= max_traces;
-  if (!claim_credible) {
-    diag.add_fault(FaultClass::kOversizedClaim, field, 0,
-                   "trace count " + std::to_string(*n_traces) +
-                       " exceeds remaining bytes");
-    if (!options.tolerant) return std::nullopt;
-  }
-
-  // Framing pass: validate every record and count what the good ones hold,
-  // so the batch columns are reserved once, exactly, before any append.
-  std::vector<std::size_t> good;  // start offset of each decodable record
-  good.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(*n_traces, max_traces)));
-  RecordCounter counts;
-
-  for (std::uint64_t i = 0; i < *n_traces; ++i) {
-    if (pos >= size) {
-      // The file ends before the claimed record count. When the claim was
-      // credible, the missing tail counts as skipped records; an already
-      // flagged oversized claim proves nothing was really there.
-      diag.add_fault(FaultClass::kRecordOverrun, pos, i,
-                     "file ends at record " + std::to_string(i) + " of " +
-                         std::to_string(*n_traces));
-      if (claim_credible) diag.records_skipped += *n_traces - i;
-      if (!options.tolerant) return std::nullopt;
-      break;
-    }
-    std::size_t limit = size;
-    std::size_t record_end = 0;
-    if (framed) {
-      field = pos;
-      const auto frame = get_varint(bytes, pos);
-      if (!frame || *frame > size - pos) {
-        diag.add_fault(FaultClass::kRecordOverrun, field, i,
-                       "record frame exceeds remaining bytes");
-        if (claim_credible) diag.records_skipped += *n_traces - i;
-        if (!options.tolerant) return std::nullopt;
-        break;  // framing is untrustworthy beyond this point
-      }
-      record_end = pos + static_cast<std::size_t>(*frame);
-      limit = record_end;
-    }
-
-    DecodeDiagnostics attempt;
-    std::size_t trace_pos = pos;
-    RecordCounter record;
-    bool ok = decode_trace(bytes, trace_pos, limit, i, attempt, record);
-    if (ok && framed && trace_pos != record_end) {
-      attempt.add_fault(FaultClass::kTrailingBytes, trace_pos, i,
-                        std::to_string(record_end - trace_pos) +
-                            " unconsumed bytes in record");
-      ok = false;  // half-trusted payload: treat the record as malformed
-    }
-    diag.merge(attempt);
-
-    if (ok) {
-      good.push_back(pos);
-      counts.hops += record.hops;
-      counts.lses += record.lses;
-      ++diag.records_decoded;
-      pos = framed ? record_end : trace_pos;
-    } else if (!options.tolerant) {
-      return std::nullopt;
-    } else if (framed) {
-      ++diag.records_skipped;  // resync at the next record boundary
-      pos = record_end;
-    } else {
-      // v1 has no framing: nothing downstream of a fault can be trusted.
-      if (claim_credible) diag.records_skipped += *n_traces - i;
-      break;
-    }
-  }
-
-  if (pos != size) {
-    diag.add_fault(FaultClass::kTrailingBytes, pos, *n_traces,
-                   std::to_string(size - pos) + " bytes after last record");
-    if (!options.tolerant) return std::nullopt;
-  }
-
-  // Fill pass over the records that validated. A record that decoded
-  // inside its frame decodes identically against the whole buffer, so the
-  // replay cannot fault.
-  snap.traces.reserve(good.size(), counts.hops, counts.lses);
-  RecordWriter writer{snap.traces};
-  DecodeDiagnostics replay;
-  for (std::size_t at : good) {
-    decode_trace(bytes, at, size, 0, replay, writer);
-  }
-  return snap;
 }
 
 std::string to_text(const TraceView& trace) {

@@ -1,81 +1,20 @@
-// "warts-lite": compact binary serialization for snapshots, plus a
-// human-readable text form.
+// warts-lite helpers shared by the on-disk formats: the human-readable text
+// form of a snapshot, and the LEB128 varints the ".mumc" checkpoint codec
+// (run/checkpoint.h) is built on.
 //
-// CAIDA ships Archipelago traceroutes in scamper's warts container; this is a
-// self-contained stand-in with the same role: persist campaigns to disk and
-// read them back for offline LPR runs. The binary layout is little-endian,
-// varint-compressed, and versioned:
-//
-//   file  := magic "MUMW" u8 version | snapshot
-//   snapshot := varint cycle_id | varint sub_index | string date
-//               varint n_traces | record*
-//   record := varint byte_len | trace          (v2; v1 had no framing)
-//   trace := varint monitor | u32 src | u32 dst | u8 reached
-//            varint n_hops | hop*
-//   hop   := u32 addr | f32-as-u32 rtt_x1000 | varint n_lse | u32 lse*
-//
-// The v2 per-record byte framing exists for fault tolerance: a corrupted
-// record can be skipped and decoding resumes at the next record boundary.
-// v1 files (no framing) still read, but a mid-stream fault abandons the
-// remaining records. See decode.h for the strict/tolerant contract.
-//
-// This stream form is the interchange/fuzz format. The mmap-oriented v3
-// "pack" lives in dataset/pack.h; the parse/read entry points below sniff
-// the magic and accept either container (see dataset/snapshot_source.h for
-// the unified ingest API they forward to).
-//
-// (AS annotations are not persisted; they are recomputed from the IP2AS
-// table on load, as the paper does with Routeviews snapshots.)
+// CAIDA ships Archipelago traceroutes in scamper's warts container; the
+// stand-in here is the v3 pack (dataset/pack.h), the one snapshot container
+// this project writes and reads.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "dataset/decode.h"
 #include "dataset/trace_batch.h"
 
 namespace mum::dataset {
-
-// Current write version of the stream form. Readers accept 1 (unframed)
-// and 2 (framed).
-inline constexpr std::uint8_t kWartsLiteVersion = 2;
-inline constexpr char kWartsLiteMagic[4] = {'M', 'U', 'M', 'W'};
-
-// --- binary -----------------------------------------------------------
-
-// Encode straight off the batch's TraceView/HopView spans (RTTs quantized
-// to ms*1000). An explicit format version (1 or 2) is for compatibility
-// tests and for producing archives older readers understand.
-std::string serialize_snapshot(const SnapshotBatch& snapshot,
-                               std::uint8_t version = kWartsLiteVersion);
-
-// Mode-aware decode. Strict mode (the default) returns nullopt on the first
-// malformed field (bad magic/version/truncation); tolerant mode skips
-// malformed records (never throws on arbitrary bytes) and returns whatever
-// decoded, nullopt only when the container itself is unrecognizable (bad
-// magic/version). Faults land in `diagnostics` when provided — including
-// the exact byte offset of a strict-mode failure.
-//
-// These sniff the magic: both the v1/v2 stream and the v3 pack decode.
-// (Implemented in snapshot_source.cpp on top of decode_snapshot.)
-std::optional<SnapshotBatch> parse_snapshot(
-    std::string_view bytes, const DecodeOptions& options = {},
-    DecodeDiagnostics* diagnostics = nullptr);
-std::optional<SnapshotBatch> read_snapshot(
-    std::istream& is, const DecodeOptions& options = {},
-    DecodeDiagnostics* diagnostics = nullptr);
-
-// The v1/v2 stream decoder itself, no sniffing: bytes must start "MUMW".
-// A framing pass validates every record and counts its hops and label
-// stack entries; the batch is then reserved exactly and filled from the
-// records that passed.
-std::optional<SnapshotBatch> parse_snapshot_v2(
-    std::string_view bytes, const DecodeOptions& options = {},
-    DecodeDiagnostics* diagnostics = nullptr);
 
 // --- text -------------------------------------------------------------
 
@@ -84,14 +23,11 @@ std::optional<SnapshotBatch> parse_snapshot_v2(
 std::string to_text(const TraceView& trace);
 std::string to_text(const SnapshotBatch& snapshot);
 
-// --- varint helpers (exposed for tests and sibling formats) ------------
+// --- varint helpers ---------------------------------------------------
 
 void put_varint(std::string& out, std::uint64_t value);
 // Reads a varint at `pos`, advancing it; nullopt on truncation/overflow.
 std::optional<std::uint64_t> get_varint(std::string_view in,
                                         std::size_t& pos);
-// Same, bounded: never reads at or beyond `limit`.
-std::optional<std::uint64_t> get_varint(std::string_view in,
-                                        std::size_t& pos, std::size_t limit);
 
 }  // namespace mum::dataset

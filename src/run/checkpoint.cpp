@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "dataset/pack.h"
-#include "dataset/warts_lite.h"  // varint helpers + stream serializer
+#include "dataset/warts_lite.h"  // varint helpers
 #include "obs/telemetry.h"
 #include "util/io.h"
 #include "util/rng.h"  // fnv1a
@@ -24,7 +24,8 @@ constexpr char kMagic[4] = {'M', 'U', 'M', 'C'};
 // v2: DecodeDiagnostics grew the v3-pack fault classes, changing the counts
 // array length baked into the payload. v1 files no longer load (the cycle
 // recomputes), which beats misattributing fault counters.
-constexpr std::uint8_t kVersion = 2;
+// v3: the four v2-stream-only fault classes went (counts array 12 -> 8).
+constexpr std::uint8_t kVersion = 3;
 
 // --- primitive writers/readers ------------------------------------------
 
@@ -437,27 +438,23 @@ std::optional<lpr::CycleReport> load_checkpoint_file(const std::string& dir,
   return report;
 }
 
-std::string data_shard_filename(int cycle, std::size_t sub,
-                                std::uint8_t format) {
+std::string data_shard_filename(int cycle, std::size_t sub) {
   return "cycle_" + std::to_string(cycle + 1) + "_s" + std::to_string(sub) +
-         (format >= dataset::kPackVersion ? ".mump" : ".mumw");
+         ".mump";
 }
 
 bool write_data_shard(const std::string& dir, int cycle, std::size_t sub,
-                      const dataset::SnapshotBatch& snapshot,
-                      std::uint8_t format) {
+                      const dataset::SnapshotBatch& snapshot) {
   static obs::Counter& shards_written =
       obs::registry().counter("checkpoint.shards_written");
   static obs::Counter& bytes_written =
       obs::registry().counter("checkpoint.bytes_written");
   util::io::IoEnv& env = util::io::env();
   if (!env.create_dirs(dir)) return false;
-  const std::string name = data_shard_filename(cycle, sub, format);
+  const std::string name = data_shard_filename(cycle, sub);
   const std::string final_path = (fs::path(dir) / name).string();
   const std::string tmp_path = (fs::path(dir) / (name + ".tmp")).string();
-  const std::string bytes = format >= dataset::kPackVersion
-                                ? dataset::serialize_pack(snapshot)
-                                : dataset::serialize_snapshot(snapshot);
+  const std::string bytes = dataset::serialize_pack(snapshot);
   if (!env.write_file(tmp_path, bytes)) return false;
   bytes_written.add(bytes.size());
   if (!env.rename_file(tmp_path, final_path)) return false;
@@ -468,19 +465,10 @@ bool write_data_shard(const std::string& dir, int cycle, std::size_t sub,
 std::vector<std::string> find_data_shards(const std::string& dir, int cycle) {
   std::vector<std::string> paths;
   for (std::size_t sub = 0;; ++sub) {
-    bool found = false;
-    for (const std::uint8_t format :
-         {dataset::kWartsLiteVersion, dataset::kPackVersion}) {
-      const fs::path path =
-          fs::path(dir) / data_shard_filename(cycle, sub, format);
-      std::error_code ec;
-      if (fs::is_regular_file(path, ec)) {
-        paths.push_back(path.string());
-        found = true;
-        break;
-      }
-    }
-    if (!found) break;
+    const fs::path path = fs::path(dir) / data_shard_filename(cycle, sub);
+    std::error_code ec;
+    if (!fs::is_regular_file(path, ec)) break;
+    paths.push_back(path.string());
   }
   return paths;
 }

@@ -11,10 +11,8 @@
 // fails to load and the cycle is simply recomputed.
 //
 // Besides report checkpoints, a campaign can persist the raw month data as
-// per-snapshot shards ("cycle_<N+1>_s<K>.mumw|.mump", one warts-lite
-// container each — v2 stream or v3 pack per RunnerConfig::snapshot_format).
-// Resume re-ingests whatever formats it finds, sniffing each shard's magic,
-// so mixed-format checkpoint directories splice cleanly.
+// per-snapshot shards ("cycle_<N+1>_s<K>.mump", one v3 pack each), which
+// resume re-ingests instead of regenerating the month.
 #pragma once
 
 #include <cstdint>
@@ -58,18 +56,18 @@ std::optional<lpr::CycleReport> load_checkpoint_file(
 // --- data shards --------------------------------------------------------
 
 // Filename (not path) of cycle N / snapshot K's data shard:
-// "cycle_<N+1>_s<K>.mumw" for format 2 (stream), ".mump" for format 3 (pack).
-std::string data_shard_filename(int cycle, std::size_t sub,
-                                std::uint8_t format);
+// "cycle_<N+1>_s<K>.mump".
+std::string data_shard_filename(int cycle, std::size_t sub);
 
-// Atomic write (temp + rename) of one snapshot in the given format (2 or 3).
+// Atomic write (temp + rename) of one snapshot as a pack, through
+// util::io::env so failpoints apply. Creates `dir` if needed; false on any
+// I/O failure.
 bool write_data_shard(const std::string& dir, int cycle, std::size_t sub,
-                      const dataset::SnapshotBatch& snapshot,
-                      std::uint8_t format);
+                      const dataset::SnapshotBatch& snapshot);
 
-// Paths of cycle N's existing shards in sub order, either extension per sub
-// (stream preferred when both exist). Stops at the first missing sub index,
-// so a partially written cycle yields only its contiguous prefix.
+// Paths of cycle N's existing shards in sub order. Stops at the first
+// missing sub index, so a partially written cycle yields only its
+// contiguous prefix.
 std::vector<std::string> find_data_shards(const std::string& dir, int cycle);
 
 }  // namespace mum::run

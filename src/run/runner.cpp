@@ -7,7 +7,6 @@
 
 #include "dataset/pack.h"
 #include "dataset/snapshot_source.h"
-#include "dataset/warts_lite.h"
 #include "obs/log.h"
 #include "obs/stage.h"
 #include "obs/telemetry.h"
@@ -94,12 +93,9 @@ dataset::MonthData Runner::prepare_month(int cycle,
     for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
       dataset::SnapshotBatch& snapshot = month.snapshots[sub];
       if (corruptor->config().flip_byte > 0) {
-        // Wire faults exercise the real ingest path: serialize (in the
-        // configured container format), flip bits, tolerant-decode, keep
-        // whatever the decoder salvaged.
-        std::string bytes = config_.snapshot_format >= dataset::kPackVersion
-                                ? dataset::serialize_pack(snapshot)
-                                : dataset::serialize_snapshot(snapshot);
+        // Wire faults exercise the real ingest path: serialize a pack, flip
+        // bits, tolerant-decode, keep whatever the decoder salvaged.
+        std::string bytes = dataset::serialize_pack(snapshot);
         corruptor->corrupt_bytes(
             bytes,
             util::hash_combine(static_cast<std::uint64_t>(cycle), sub));
@@ -194,7 +190,7 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
   {
     const obs::StageSpan span(obs::Stage::kIngest, cycle);
     while (auto snapshot = source->next()) {
-      // Annotations are not persisted in either container format.
+      // Annotations are not persisted in the pack.
       ip2as_.annotate(snapshot->traces);
       month.snapshots.push_back(std::move(*snapshot));
     }
@@ -416,8 +412,7 @@ RunOutcome Runner::run_all_contained() const {
             for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
               supervised_write([&] {
                 return write_data_shard(config_.checkpoint_dir, cycle, sub,
-                                        month.snapshots[sub],
-                                        config_.snapshot_format);
+                                        month.snapshots[sub]);
               });
             }
           }

@@ -66,13 +66,9 @@ struct RunnerConfig {
   // the resumed final report is byte-identical to an uninterrupted run.
   std::string checkpoint_dir;
   bool resume = false;
-  // Container format for snapshot wire round-trips and data shards: 2 =
-  // warts-lite stream (the interchange format, default), 3 = mmap pack.
-  std::uint8_t snapshot_format = 2;
   // Also persist each cycle's month data as per-snapshot shards in
   // checkpoint_dir. On resume, a cycle whose report checkpoint is missing
-  // or stale re-ingests its shards (any mix of formats — readers sniff the
-  // magic) instead of regenerating; the manifest marks it kFromData. For
+  // or stale re-ingests its shards instead of regenerating; the manifest marks it kFromData. For
   // clean (chaos-free) runs the resumed report stays byte-identical.
   bool checkpoint_data = false;
 
@@ -143,8 +139,8 @@ class Runner {
  private:
   gen::CampaignConfig campaign_for(int cycle) const;
   // month_data plus optional chaos: structural faults mutate the month's
-  // snapshots in place; wire faults round-trip them through serialization
-  // (in config.snapshot_format) and tolerant decode, re-annotating
+  // snapshots in place; wire faults round-trip them through a pack and
+  // tolerant decode, re-annotating
   // survivors, with the decoder's diagnostics accumulated into `decode`.
   // `evolver`, when given, generates the month against the standing evolved
   // world instead of a from-scratch instantiate (byte-identical output).
@@ -154,11 +150,11 @@ class Runner {
                                    gen::DeltaEvolver* evolver = nullptr) const;
   lpr::CycleReport run_cycle_chaos(int cycle, chaos::Corruptor* corruptor,
                                    gen::DeltaEvolver* evolver = nullptr) const;
-  // Re-ingest a cycle's persisted data shards (strict decode, magic-sniffed
-  // per shard) and run the pipeline on them. nullopt when shards are
-  // missing, incomplete (fewer than the configured snapshots per cycle — a
-  // crash mid-persist must not silently thin the month) or undecodable —
-  // the caller recomputes from generation. An undecodable shard is recorded
+  // Re-ingest a cycle's persisted data shards (strict decode) and run the
+  // pipeline on them. nullopt when shards are missing, incomplete (fewer
+  // than the configured snapshots per cycle — a crash mid-persist must not
+  // silently thin the month) or undecodable — the caller recomputes from
+  // generation. An undecodable shard is recorded
   // in `status` so the supervision layer can quarantine it.
   std::optional<lpr::CycleReport> run_cycle_from_data(
       int cycle, CycleStatus* status = nullptr) const;

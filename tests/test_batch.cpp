@@ -9,16 +9,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "dataset/ip2as.h"
 #include "dataset/pack.h"
 #include "dataset/trace_batch.h"
-#include "dataset/warts_lite.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
 #include "net/lse.h"
@@ -54,10 +53,9 @@ run::RunnerConfig small_runner(int cycles, int threads = 1) {
 }
 
 // Digests of what the heap-Trace path produced on small_gen(): the cycle-50
-// sub-0 snapshot in both containers, and the 3- and 4-cycle campaign
-// reports (run_all().to_json()).
+// sub-0 snapshot as a pack, and the 3- and 4-cycle campaign reports
+// (run_all().to_json()).
 constexpr std::size_t kLegacyTraces = 480;
-constexpr std::uint64_t kLegacyStreamDigest = 0xaff226eb005d3870ull;
 constexpr std::uint64_t kLegacyPackDigest = 0x2fcd6939152838c8ull;
 constexpr std::uint64_t kLegacyReport3Digest = 0x8ac20444b6ad0206ull;
 constexpr std::uint64_t kLegacyReport4Digest = 0xef6867d74cb744e4ull;
@@ -274,12 +272,12 @@ TEST(TraceBatch, ColumnMergeRebasesOffsets) {
 }
 
 TEST(TraceBatch, PackAndStreamWritersMatchAosBytes) {
-  // The batch's columns ARE the pack sections; both writers must emit the
-  // bytes the heap-Trace writers produced for the same snapshot.
+  // The batch's columns ARE the pack sections; the writer must emit the
+  // bytes the heap-Trace writer produced for the same snapshot. (No stream
+  // writer remains; the name is kept so the test ID stays stable.)
   const dataset::SnapshotBatch snap = campaign_snapshot();
   ASSERT_EQ(snap.trace_count(), kLegacyTraces);
   EXPECT_EQ(digest(dataset::serialize_pack(snap)), kLegacyPackDigest);
-  EXPECT_EQ(digest(dataset::serialize_snapshot(snap)), kLegacyStreamDigest);
 }
 
 TEST(TraceBatch, PackViewRoundTripIsByteStable) {
@@ -290,13 +288,19 @@ TEST(TraceBatch, PackViewRoundTripIsByteStable) {
   ASSERT_TRUE(view.has_value());
   const dataset::SnapshotBatch batch = view->snapshot();
   EXPECT_EQ(batch.trace_count(), snap.trace_count());
-  // The wire format quantizes rtt and drops annotations (asn is recomputed
-  // after ingest), so the reference is the independent v2 stream decoder
-  // over the same snapshot, not the pre-serialization batch.
-  const auto decoded =
-      dataset::parse_snapshot_v2(dataset::serialize_snapshot(snap));
-  ASSERT_TRUE(decoded.has_value());
-  expect_views_match(batch.traces, test::specs_of(decoded->traces));
+  // The wire format quantizes rtt to ms*1000 and drops annotations (asn is
+  // recomputed after ingest): the reference is the pre-serialization
+  // traces with exactly that applied.
+  std::vector<test::TraceSpec> want = test::specs_of(snap.traces);
+  for (test::TraceSpec& trace : want) {
+    trace.dst_asn = 0;
+    for (test::HopSpec& hop : trace.hops) {
+      hop.rtt_ms = static_cast<double>(std::lround(hop.rtt_ms * 1000.0)) /
+                   1000.0;
+      hop.asn = 0;
+    }
+  }
+  expect_views_match(batch.traces, want);
   EXPECT_EQ(dataset::serialize_pack(batch), bytes);
 }
 
@@ -345,8 +349,6 @@ TEST(CampaignBatch, SnapshotBytesIdenticalToLegacyPath) {
     gen::CampaignRunner runner(internet, ip2as, {}, &pool);
     auto ctx = internet.instantiate(50);
     const dataset::SnapshotBatch got = runner.snapshot(ctx, 50, 0);
-    EXPECT_EQ(digest(dataset::serialize_snapshot(got)), kLegacyStreamDigest)
-        << "threads=" << threads;
     EXPECT_EQ(digest(dataset::serialize_pack(got)), kLegacyPackDigest)
         << "threads=" << threads;
   }
@@ -434,8 +436,9 @@ class BatchResumeTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// Acceptance: a run resumed over mixed-format data shards (v2 stream + v3
-// pack) reproduces the heap-Trace path's report byte for byte.
+// Acceptance: a run resumed from data shards reproduces the heap-Trace
+// path's report byte for byte. (Every shard is a pack; the name is kept so
+// the test ID stays stable.)
 TEST_F(BatchResumeTest, MixedFormatResumeMatchesLegacyReport) {
   constexpr int kCycles = 4;
   auto config = small_runner(kCycles, /*threads=*/2);
@@ -446,22 +449,8 @@ TEST_F(BatchResumeTest, MixedFormatResumeMatchesLegacyReport) {
   ASSERT_TRUE(full.manifest.complete());
   EXPECT_EQ(digest(full.report.to_json()), kLegacyReport4Digest);
 
-  // Rewrite cycle 2's shards as v3 packs so the directory mixes formats,
-  // then kill two report checkpoints to force recomputation paths.
-  const auto shard_paths = run::find_data_shards(dir_.string(), 2);
-  ASSERT_FALSE(shard_paths.empty());
-  for (std::size_t sub = 0; sub < shard_paths.size(); ++sub) {
-    std::string bytes;
-    {
-      std::ifstream is(shard_paths[sub], std::ios::binary);
-      bytes.assign(std::istreambuf_iterator<char>(is), {});
-    }
-    const auto snap = dataset::parse_snapshot(bytes);
-    ASSERT_TRUE(snap.has_value());
-    fs::remove(shard_paths[sub]);
-    ASSERT_TRUE(run::write_data_shard(dir_.string(), 2, sub, *snap,
-                                      dataset::kPackVersion));
-  }
+  // Kill two report checkpoints: their cycles re-ingest the packs.
+  ASSERT_FALSE(run::find_data_shards(dir_.string(), 2).empty());
   fs::remove(dir_ / run::checkpoint_filename(1));
   fs::remove(dir_ / run::checkpoint_filename(2));
 

@@ -113,7 +113,7 @@ class CliPipeline : public ::testing::Test {
   std::vector<std::string> snapshot_files() const {
     std::vector<std::string> files;
     for (const auto& entry : fs::directory_iterator(dir_)) {
-      if (entry.path().extension() == ".mumw") {
+      if (entry.path().extension() == ".mump") {
         files.push_back(entry.path().string());
       }
     }
@@ -189,8 +189,8 @@ TEST_F(CliPipeline, DeterministicAcrossRuns) {
                     &out2),
             0);
   // Byte-identical snapshot files for the same seed/cycle.
-  std::ifstream a(dir_ / "a" / "cycle40_s0.mumw", std::ios::binary);
-  std::ifstream b(dir_ / "b" / "cycle40_s0.mumw", std::ios::binary);
+  std::ifstream a(dir_ / "a" / "cycle_40_s0.mump", std::ios::binary);
+  std::ifstream b(dir_ / "b" / "cycle_40_s0.mump", std::ios::binary);
   std::stringstream sa, sb;
   sa << a.rdbuf();
   sb << b.rdbuf();
@@ -200,7 +200,7 @@ TEST_F(CliPipeline, DeterministicAcrossRuns) {
 
 TEST_F(CliPipeline, ErrorsAreReported) {
   std::string out;
-  EXPECT_NE(run_cmd({"classify", "--ip2as", "/nonexistent", "x.mumw"},
+  EXPECT_NE(run_cmd({"classify", "--ip2as", "/nonexistent", "x.mump"},
                     &out),
             0);
   EXPECT_NE(run_cmd({"classify", "--ip2as"}, &out), 0);
@@ -219,13 +219,15 @@ TEST_F(CliPipeline, HelpPrintsUsage) {
 }
 
 TEST_F(CliPipeline, StatsRejectsGarbageFile) {
-  const fs::path bogus = dir_ / "bogus.mumw";
+  const fs::path bogus = dir_ / "bogus.mump";
   std::ofstream(bogus) << "not a snapshot";
   std::string out;
   EXPECT_NE(run_cmd({"stats", bogus.string()}, &out), 0);
   EXPECT_NE(out.find("not a warts-lite snapshot"), std::string::npos);
 }
 
+// (generate writes only packs; the name is kept so the test ID stays
+// stable.)
 TEST_F(CliPipeline, GenerateV3PackAndMixedFormatIngest) {
   std::string out;
   ASSERT_EQ(run_cmd({"generate", "--out", dir_.string(), "--cycle", "50",
@@ -233,53 +235,59 @@ TEST_F(CliPipeline, GenerateV3PackAndMixedFormatIngest) {
                     &out),
             kExitOk)
       << out;
-  ASSERT_EQ(run_cmd({"generate", "--out", (dir_ / "pack").string(),
-                     "--cycle", "50", "--small", "--snapshots", "2",
-                     "--format", "v3"},
+  // Shards are named like the campaign's data shards and written
+  // atomically: no temp litter survives a clean run.
+  const fs::path p0 = dir_ / "cycle_50_s0.mump";
+  const fs::path p1 = dir_ / "cycle_50_s1.mump";
+  ASSERT_TRUE(fs::exists(p0));
+  ASSERT_TRUE(fs::exists(p1));
+  EXPECT_EQ(snapshot_files().size(), 2u);
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  EXPECT_NE(out.find("wrote " + p0.string()), std::string::npos) << out;
+  const std::string table = (dir_ / "ip2as.txt").string();
+  ASSERT_EQ(run_cmd({"classify", "--ip2as", table, p0.string(), p1.string()},
                     &out),
             kExitOk)
       << out;
-  const fs::path p0 = dir_ / "pack" / "cycle50_s0.mump";
-  const fs::path p1 = dir_ / "pack" / "cycle50_s1.mump";
-  ASSERT_TRUE(fs::exists(p0));
-  ASSERT_TRUE(fs::exists(p1));
-  const std::string table = (dir_ / "ip2as.txt").string();
-  const fs::path w0 = dir_ / "cycle50_s0.mumw";
-  const fs::path w1 = dir_ / "cycle50_s1.mumw";
-
-  // Same generation either container: classification output is identical,
-  // and a mixed v2+v3 file list reads transparently (readers sniff magic).
-  std::string via_v2, via_v3, mixed;
-  ASSERT_EQ(run_cmd({"classify", "--ip2as", table, w0.string(), w1.string()},
-                    &via_v2),
-            kExitOk)
-      << via_v2;
-  ASSERT_EQ(run_cmd({"classify", "--ip2as", table, p0.string(), p1.string()},
-                    &via_v3),
-            kExitOk);
-  EXPECT_EQ(via_v2, via_v3);
-  ASSERT_EQ(run_cmd({"classify", "--ip2as", table, w0.string(), p1.string()},
-                    &mixed),
-            kExitOk);
-  EXPECT_EQ(mixed, via_v2);
+  EXPECT_NE(out.find("IOTPs"), std::string::npos);
   EXPECT_EQ(run_cmd({"stats", p0.string()}, &out), kExitOk);
   EXPECT_NE(out.find("traces"), std::string::npos);
 
-  // Bad --format values are usage errors, on both subcommands.
-  EXPECT_EQ(run_cmd({"generate", "--out", dir_.string(), "--cycle", "50",
-                     "--format", "v9"},
-                    &out),
-            kExitUsage);
-  EXPECT_NE(out.find("--format"), std::string::npos);
-  EXPECT_EQ(run_cmd({"campaign", "--cycles", "1", "--small", "--format",
-                     "banana"},
-                    &out),
-            kExitUsage);
   // --checkpoint-data only makes sense with a checkpoint directory.
   EXPECT_EQ(run_cmd({"campaign", "--cycles", "1", "--small",
                      "--checkpoint-data"},
                     &out),
             kExitUsage);
+}
+
+TEST_F(CliPipeline, GenerateUnwritableOutDirExitsThree) {
+  // --out under a regular file: the shard directory cannot be created.
+  const fs::path file = dir_ / "f";
+  std::ofstream(file) << "not a directory";
+  std::string out;
+  EXPECT_EQ(run_cmd({"generate", "--small", "--cycle", "1", "--out",
+                     (file / "sub").string()},
+                    &out),
+            kExitFatal)
+      << out;
+  EXPECT_NE(out.find("cannot write"), std::string::npos) << out;
+  EXPECT_EQ(out.find("wrote"), std::string::npos) << out;
+
+  // The shards land but ip2as.txt cannot be written (a directory holds its
+  // name): fatal too, never a "wrote" line for it.
+  const fs::path blocked = dir_ / "blocked";
+  fs::create_directories(blocked / "ip2as.txt");
+  EXPECT_EQ(run_cmd({"generate", "--small", "--cycle", "1", "--out",
+                     blocked.string()},
+                    &out),
+            kExitFatal)
+      << out;
+  EXPECT_NE(out.find("cannot write " + (blocked / "ip2as.txt").string()),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("prefixes"), std::string::npos) << out;
 }
 
 // --- exit codes ------------------------------------------------------------
@@ -292,10 +300,10 @@ TEST_F(CliPipeline, UsageErrorsExitOne) {
                     &out),
             kExitUsage);
   EXPECT_EQ(run_cmd({"classify"}, &out), kExitUsage);  // --ip2as missing
-  EXPECT_EQ(run_cmd({"stats", "--bogus-flag", "x.mumw"}, &out), kExitUsage);
+  EXPECT_EQ(run_cmd({"stats", "--bogus-flag", "x.mump"}, &out), kExitUsage);
   EXPECT_EQ(run_cmd({"campaign", "--cycles", "0"}, &out), kExitUsage);
   EXPECT_EQ(run_cmd({"campaign", "--chaos", "bogus=1"}, &out), kExitUsage);
-  EXPECT_EQ(run_cmd({"stats", "--tolerant", "--strict", "x.mumw"}, &out),
+  EXPECT_EQ(run_cmd({"stats", "--tolerant", "--strict", "x.mump"}, &out),
             kExitUsage);
 }
 
@@ -323,9 +331,9 @@ TEST_F(CliPipeline, GenerateRejectsFewerThanOneSnapshot) {
 
 TEST_F(CliPipeline, DataErrorsExitThree) {
   std::string out;
-  EXPECT_EQ(run_cmd({"stats", (dir_ / "missing.mumw").string()}, &out),
+  EXPECT_EQ(run_cmd({"stats", (dir_ / "missing.mump").string()}, &out),
             kExitFatal);
-  const fs::path bogus = dir_ / "bogus.mumw";
+  const fs::path bogus = dir_ / "bogus.mump";
   std::ofstream(bogus) << "not a snapshot";
   EXPECT_EQ(run_cmd({"stats", bogus.string()}, &out), kExitFatal);
   // Tolerant mode cannot save a file that is not a container at all.
@@ -343,7 +351,7 @@ TEST_F(CliPipeline, TolerantSalvagesTruncatedSnapshot) {
   const auto files = snapshot_files();
   ASSERT_EQ(files.size(), 1u);
 
-  // Chop the tail off the file: the last record's frame now overruns.
+  // Chop the tail off the file: the last sections now overrun it.
   std::string bytes;
   {
     std::ifstream is(files[0], std::ios::binary);
@@ -352,7 +360,7 @@ TEST_F(CliPipeline, TolerantSalvagesTruncatedSnapshot) {
     bytes = ss.str();
   }
   ASSERT_GT(bytes.size(), 64u);
-  const fs::path cut = dir_ / "cut.mumw";
+  const fs::path cut = dir_ / "cut.mump";
   std::ofstream(cut, std::ios::binary)
       << bytes.substr(0, bytes.size() - 40);
 

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 
 #include "dataset/ip2as.h"
 #include "dataset/pack.h"
+#include "dataset/snapshot_source.h"
 #include "dataset/trace_batch.h"
 #include "dataset/warts_lite.h"
 #include "icmp/icmp.h"
@@ -134,7 +135,10 @@ TEST(Varint, SmallValuesAreOneByte) {
   EXPECT_EQ(buf.size(), 1u);
 }
 
-// --- warts-lite ---------------------------------------------------------
+// --- warts-lite pack ----------------------------------------------------
+// Round trips and the strict/tolerant decode contract, through the one
+// decode entry point (decode_snapshot) over v3 pack bytes. Section-level
+// pack coverage is in test_pack.cpp.
 
 std::vector<TraceSpec> sample_traces() {
   TraceSpec t;
@@ -159,11 +163,38 @@ SnapshotBatch sample_snapshot() {
   return test::snapshot_of(sample_traces(), 42, 1, "2014-12");
 }
 
+// Every column the pack carries (annotation columns are not persisted).
+void expect_same_columns(const SnapshotBatch& a, const SnapshotBatch& b) {
+  const auto eq = [](auto x, auto y) { return std::ranges::equal(x, y); };
+  EXPECT_EQ(a.date, b.date);
+  EXPECT_TRUE(eq(a.traces.monitor_col(), b.traces.monitor_col()));
+  EXPECT_TRUE(eq(a.traces.src_col(), b.traces.src_col()));
+  EXPECT_TRUE(eq(a.traces.dst_col(), b.traces.dst_col()));
+  EXPECT_TRUE(eq(a.traces.reached_col(), b.traces.reached_col()));
+  EXPECT_TRUE(eq(a.traces.hop_off_col(), b.traces.hop_off_col()));
+  EXPECT_TRUE(eq(a.traces.hop_addr_col(), b.traces.hop_addr_col()));
+  EXPECT_TRUE(eq(a.traces.hop_rtt_col(), b.traces.hop_rtt_col()));
+  EXPECT_TRUE(eq(a.traces.lse_off_col(), b.traces.lse_off_col()));
+  EXPECT_TRUE(eq(a.traces.lse_pool_col(), b.traces.lse_pool_col()));
+}
+
+// Little-endian field surgery on serialized packs.
+void write_le(std::string& bytes, std::size_t at, std::uint64_t v,
+              std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+std::size_t pack_entry_at(PackSection s) {
+  return kPackHeaderBytes +
+         static_cast<std::size_t>(s) * kPackSectionEntryBytes;
+}
+
 TEST(WartsLite, RoundTripPreservesEverything) {
   const SnapshotBatch snap = sample_snapshot();
   const std::vector<TraceSpec> want = sample_traces();
-  const std::string bytes = serialize_snapshot(snap);
-  const auto back = parse_snapshot(bytes);
+  const auto back = decode_snapshot(serialize_pack(snap));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycle_id, snap.cycle_id);
   EXPECT_EQ(back->sub_index, snap.sub_index);
@@ -181,37 +212,28 @@ TEST(WartsLite, RoundTripPreservesEverything) {
   EXPECT_FALSE(back->traces.view(1).reached());
 }
 
-TEST(WartsLite, StreamRoundTrip) {
-  const SnapshotBatch snap = sample_snapshot();
-  std::stringstream ss;
-  ss << serialize_snapshot(snap);
-  const auto back = read_snapshot(ss);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->trace_count(), snap.trace_count());
-}
-
 TEST(WartsLite, RejectsBadMagic) {
-  std::string bytes = serialize_snapshot(sample_snapshot());
+  std::string bytes = serialize_pack(sample_snapshot());
   bytes[0] = 'X';
-  EXPECT_FALSE(parse_snapshot(bytes).has_value());
+  EXPECT_FALSE(decode_snapshot(bytes).has_value());
 }
 
 TEST(WartsLite, RejectsBadVersion) {
-  std::string bytes = serialize_snapshot(sample_snapshot());
+  std::string bytes = serialize_pack(sample_snapshot());
   bytes[4] = 99;
-  EXPECT_FALSE(parse_snapshot(bytes).has_value());
+  EXPECT_FALSE(decode_snapshot(bytes).has_value());
 }
 
 TEST(WartsLite, RejectsTruncation) {
-  const std::string bytes = serialize_snapshot(sample_snapshot());
+  const std::string bytes = serialize_pack(sample_snapshot());
   // Every strict prefix must fail cleanly, never crash.
   for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {
-    EXPECT_FALSE(parse_snapshot(bytes.substr(0, cut)).has_value());
+    EXPECT_FALSE(decode_snapshot(bytes.substr(0, cut)).has_value());
   }
 }
 
 TEST(WartsLite, EmptySnapshotRoundTrip) {
-  const auto back = parse_snapshot(serialize_snapshot(SnapshotBatch{}));
+  const auto back = decode_snapshot(serialize_pack(SnapshotBatch{}));
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->traces.empty());
 }
@@ -225,7 +247,7 @@ TEST(WartsLite, AnonymousOnlyTraceRoundTrip) {
   t.hops.assign(5, HopSpec{});  // every hop anonymous
   const SnapshotBatch snap = test::snapshot_of({t}, 9, 0, "2013-01");
 
-  const auto back = parse_snapshot(serialize_snapshot(snap));
+  const auto back = decode_snapshot(serialize_pack(snap));
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->trace_count(), 1u);
   const TraceView v = back->traces.view(0);
@@ -251,7 +273,7 @@ TEST(WartsLite, MaxDepthLabelStackRoundTrip) {
   t.hops.push_back(hop);
   const SnapshotBatch snap = test::snapshot_of({t}, 0, 0, "2015-06");
 
-  const auto back = parse_snapshot(serialize_snapshot(snap));
+  const auto back = decode_snapshot(serialize_pack(snap));
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->traces.view(0).hop_count(), 1u);
   const net::LabelStack quoted = back->traces.view(0).hop(0).label_stack();
@@ -263,14 +285,14 @@ TEST(WartsLite, MaxDepthLabelStackRoundTrip) {
 // --- strict/tolerant decode edge cases ----------------------------------
 
 TEST(WartsLite, StrictReportsFaultClassAndOffset) {
-  const std::string bytes = serialize_snapshot(sample_snapshot());
+  const std::string bytes = serialize_pack(sample_snapshot());
   const DecodeOptions strict;
 
   {
     std::string bad = bytes;
     bad[0] = 'X';
     DecodeDiagnostics diag;
-    EXPECT_FALSE(parse_snapshot(bad, strict, &diag).has_value());
+    EXPECT_FALSE(decode_snapshot(bad, strict, &diag).has_value());
     ASSERT_EQ(diag.samples.size(), 1u);
     EXPECT_EQ(diag.samples[0].fault, FaultClass::kBadMagic);
     EXPECT_EQ(diag.samples[0].offset, 0u);
@@ -279,7 +301,7 @@ TEST(WartsLite, StrictReportsFaultClassAndOffset) {
     std::string bad = bytes;
     bad[4] = 99;
     DecodeDiagnostics diag;
-    EXPECT_FALSE(parse_snapshot(bad, strict, &diag).has_value());
+    EXPECT_FALSE(decode_snapshot(bad, strict, &diag).has_value());
     ASSERT_EQ(diag.samples.size(), 1u);
     EXPECT_EQ(diag.samples[0].fault, FaultClass::kBadVersion);
     EXPECT_EQ(diag.samples[0].offset, 4u);
@@ -287,7 +309,8 @@ TEST(WartsLite, StrictReportsFaultClassAndOffset) {
   {
     // Cut mid-header: the offset points into the surviving bytes.
     DecodeDiagnostics diag;
-    EXPECT_FALSE(parse_snapshot(bytes.substr(0, 6), strict, &diag).has_value());
+    EXPECT_FALSE(
+        decode_snapshot(bytes.substr(0, 6), strict, &diag).has_value());
     ASSERT_GE(diag.samples.size(), 1u);
     EXPECT_EQ(diag.samples[0].fault, FaultClass::kTruncatedHeader);
     EXPECT_GE(diag.samples[0].offset, 5u);
@@ -296,37 +319,33 @@ TEST(WartsLite, StrictReportsFaultClassAndOffset) {
 }
 
 TEST(WartsLite, OversizedClaimRejectedBeforeAllocation) {
-  // A header claiming ~1e18 traces backed by zero bytes must fail the
-  // resource check, not attempt the allocation.
-  std::string bytes = "MUMW";
-  bytes.push_back(static_cast<char>(kWartsLiteVersion));
-  put_varint(bytes, 1);  // cycle_id
-  put_varint(bytes, 0);  // sub_index
-  put_varint(bytes, 0);  // empty date
-  put_varint(bytes, 0x0DE0B6B3A7640000ull);  // n_traces = 1e18
+  // A header claiming ~4e9 sections backed by a few hundred bytes must fail
+  // the resource check, not walk (or allocate for) the claimed table.
+  std::string bytes = serialize_pack(sample_snapshot());
+  write_le(bytes, 16, 0xFFFFFFF0u, 4);  // section_count
 
   DecodeDiagnostics strict_diag;
   EXPECT_FALSE(
-      parse_snapshot(bytes, DecodeOptions{}, &strict_diag).has_value());
+      decode_snapshot(bytes, DecodeOptions{}, &strict_diag).has_value());
   EXPECT_GE(strict_diag.count(FaultClass::kOversizedClaim), 1u);
 
   DecodeOptions tolerant;
   tolerant.tolerant = true;
   DecodeDiagnostics diag;
-  const auto salvaged = parse_snapshot(bytes, tolerant, &diag);
+  const auto salvaged = decode_snapshot(bytes, tolerant, &diag);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_TRUE(salvaged->traces.empty());
   EXPECT_GE(diag.count(FaultClass::kOversizedClaim), 1u);
 }
 
 TEST(WartsLite, TolerantNeverFailsOnTruncatedCorpus) {
-  const std::string bytes = serialize_snapshot(sample_snapshot());
+  const std::string bytes = serialize_pack(sample_snapshot());
   DecodeOptions tolerant;
   tolerant.tolerant = true;
   for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
     DecodeDiagnostics diag;
     const auto result =
-        parse_snapshot(bytes.substr(0, cut), tolerant, &diag);
+        decode_snapshot(bytes.substr(0, cut), tolerant, &diag);
     if (cut < 5) {
       // Not even a container: magic/version can't be verified.
       EXPECT_FALSE(result.has_value()) << "cut=" << cut;
@@ -341,92 +360,96 @@ TEST(WartsLite, TolerantNeverFailsOnTruncatedCorpus) {
 }
 
 TEST(WartsLite, TolerantNeverFailsOnBitFlippedCorpus) {
-  const std::string bytes = serialize_snapshot(sample_snapshot());
+  const SnapshotBatch snap = sample_snapshot();
+  const std::string bytes = serialize_pack(snap);
+  const auto original = decode_snapshot(bytes);
+  ASSERT_TRUE(original.has_value());
   DecodeOptions tolerant;
   tolerant.tolerant = true;
   const DecodeOptions strict;
-  for (std::size_t at = 5; at < bytes.size(); ++at) {
-    for (unsigned bit = 0; bit < 8; bit += 3) {
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
       std::string flipped = bytes;
       flipped[at] = static_cast<char>(
           static_cast<unsigned char>(flipped[at]) ^ (1u << bit));
 
       DecodeDiagnostics diag;
-      const auto salvaged = parse_snapshot(flipped, tolerant, &diag);
+      const auto salvaged = decode_snapshot(flipped, tolerant, &diag);
+      if (at < 5) {
+        // Magic or version: no longer a recognizable container.
+        EXPECT_FALSE(salvaged.has_value()) << "at=" << at << " bit=" << bit;
+        EXPECT_GE(diag.faults_total(), 1u);
+        continue;
+      }
       ASSERT_TRUE(salvaged.has_value()) << "at=" << at << " bit=" << bit;
       EXPECT_EQ(salvaged->trace_count(), diag.records_decoded);
 
-      // Strict mode on the same bytes: either the flip landed in a value
-      // field (decodes fine) or the decode stops with a located fault.
+      // Strict mode on the same bytes either stops with a located fault or
+      // returns exactly the original columns: the per-lane section
+      // checksums catch every single-byte change to a payload, so only the
+      // unchecked header fields (cycle_id, sub_index, zero padding) and the
+      // inter-section padding may differ undetected.
       DecodeDiagnostics strict_diag;
-      if (!parse_snapshot(flipped, strict, &strict_diag).has_value()) {
+      const auto accepted = decode_snapshot(flipped, strict, &strict_diag);
+      if (!accepted.has_value()) {
         ASSERT_GE(strict_diag.samples.size(), 1u);
         EXPECT_LE(strict_diag.samples[0].offset, flipped.size());
+      } else {
+        SCOPED_TRACE("at=" + std::to_string(at) +
+                     " bit=" + std::to_string(bit));
+        expect_same_columns(*accepted, *original);
       }
     }
   }
 }
 
-TEST(WartsLite, V1UnframedFaultAbandonsRemainder) {
-  const SnapshotBatch snap = sample_snapshot();
-  const std::string v1 = serialize_snapshot(snap, 1);
-  ASSERT_TRUE(parse_snapshot(v1).has_value());
-
-  // Chop the tail: without per-record framing, tolerant mode cannot resync,
-  // so everything from the fault on is lost — but it still must not fail.
-  DecodeOptions tolerant;
-  tolerant.tolerant = true;
-  DecodeDiagnostics diag;
-  const auto salvaged =
-      parse_snapshot(v1.substr(0, v1.size() - 3), tolerant, &diag);
-  ASSERT_TRUE(salvaged.has_value());
-  EXPECT_LT(salvaged->trace_count(), snap.trace_count());
-  EXPECT_FALSE(diag.clean());
-}
-
-// --- v3 pack section claims --------------------------------------------
-// The pack container (dataset/pack.h) maps its structural damage onto the
-// same FaultClass taxonomy the v2 stream uses; oversized and overlapping
-// section claims are the two cases the section-table validator must catch
-// before any payload is touched. Detailed pack coverage is in test_pack.cpp.
-
-std::size_t pack_entry_at(PackSection s) {
-  return kPackHeaderBytes +
-         static_cast<std::size_t>(s) * kPackSectionEntryBytes;
-}
-
-void pack_write_le64(std::string& bytes, std::size_t at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes[at + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
+// --- v3 pack section table ---------------------------------------------
+// Oversized and overlapping claims must be caught before any payload is
+// touched; tolerant mode then re-places what the table damage cost.
 
 TEST(PackFaults, OversizedSectionClaimIsBoundedNotAllocated) {
-  std::string bytes = serialize_pack(sample_snapshot());
-  // The hop-addr entry claims ~1e18 bytes: far past the mapping. Like the
-  // v2 oversized-claim case, the validator must bound the claim against the
-  // bytes present, never follow it.
-  pack_write_le64(bytes, pack_entry_at(PackSection::kHopAddr) + 16,
-                  0x0DE0B6B3A7640000ull);
+  const std::string clean = serialize_pack(sample_snapshot());
+  const auto original = decode_snapshot(clean);
+  ASSERT_TRUE(original.has_value());
+  std::string bytes = clean;
+  // The hop-addr entry claims ~1e18 bytes: far past the mapping. The
+  // validator must bound the claim against the bytes present, never follow
+  // it.
+  write_le(bytes, pack_entry_at(PackSection::kHopAddr) + 16,
+           0x0DE0B6B3A7640000ull, 8);
 
   DecodeDiagnostics strict_diag;
-  EXPECT_FALSE(parse_pack(bytes, DecodeOptions{}, &strict_diag).has_value());
+  EXPECT_FALSE(decode_snapshot(bytes, DecodeOptions{}, &strict_diag).has_value());
   EXPECT_GE(strict_diag.count(FaultClass::kOversizedClaim), 1u);
 
   DecodeDiagnostics diag;
   const auto salvaged =
-      parse_pack(bytes, DecodeOptions{.tolerant = true}, &diag);
+      decode_snapshot(bytes, DecodeOptions{.tolerant = true}, &diag);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_GE(diag.count(FaultClass::kOversizedClaim), 1u);
-  // The hop columns are gone; traces with hops are individually skipped,
-  // the hopless record survives.
-  ASSERT_EQ(salvaged->trace_count(), 1u);
-  EXPECT_EQ(salvaged->traces.view(0).hop_count(), 0u);
+  // Its two sibling hop columns agree on the hop count, so tolerant mode
+  // re-places the section from the table layout and loses nothing.
+  expect_same_columns(*salvaged, *original);
+
+  // With a second hop entry damaged too, no two siblings vouch for a hop
+  // count: the hop columns are gone, traces with hops are individually
+  // skipped, and the hopless record survives.
+  write_le(bytes, pack_entry_at(PackSection::kHopRtt) + 16,
+           0x0DE0B6B3A7640000ull, 8);
+  DecodeDiagnostics both_diag;
+  const auto thinned =
+      decode_snapshot(bytes, DecodeOptions{.tolerant = true}, &both_diag);
+  ASSERT_TRUE(thinned.has_value());
+  EXPECT_GE(both_diag.count(FaultClass::kOversizedClaim), 2u);
+  ASSERT_EQ(thinned->trace_count(), 1u);
+  EXPECT_EQ(thinned->traces.view(0).hop_count(), 0u);
 }
 
 TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
-  std::string bytes = serialize_pack(sample_snapshot());
+  const std::string clean = serialize_pack(sample_snapshot());
+  const auto original = decode_snapshot(clean);
+  ASSERT_TRUE(original.has_value());
+  std::string bytes = clean;
   // Point the src column at the monitor column's payload: two claims over
   // one region means at least one of them lies, so both are dropped.
   const std::size_t monitor_entry = pack_entry_at(PackSection::kTraceMonitor);
@@ -440,17 +463,45 @@ TEST(PackFaults, OverlappingSectionsAreRejectedAsBadTable) {
   }
 
   DecodeDiagnostics strict_diag;
-  EXPECT_FALSE(parse_pack(bytes, DecodeOptions{}, &strict_diag).has_value());
+  EXPECT_FALSE(decode_snapshot(bytes, DecodeOptions{}, &strict_diag).has_value());
   EXPECT_GE(strict_diag.count(FaultClass::kBadSectionTable), 1u);
 
   DecodeDiagnostics diag;
   const auto salvaged =
-      parse_pack(bytes, DecodeOptions{.tolerant = true}, &diag);
+      decode_snapshot(bytes, DecodeOptions{.tolerant = true}, &diag);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_GE(diag.count(FaultClass::kBadSectionTable), 1u);
-  // A core trace column is unusable: the snapshot degrades to empty rather
-  // than serving aliased data.
-  EXPECT_TRUE(salvaged->traces.empty());
+  // Neither claim is served: both columns are re-placed from the table
+  // layout, so src is read from its own payload, never aliased to monitor.
+  expect_same_columns(*salvaged, *original);
+}
+
+TEST(PackFaults, OneDamagedTableFieldCostsNoRecord) {
+  // Any single bit flip in the table entries of the date and the eight
+  // sibling-sized columns loses no record in tolerant mode: the entry is
+  // rejected, dropped or outvoted, and the section re-placed. (Only the
+  // date itself may be lost; the label pool's entry has no siblings to
+  // repair it from.)
+  const std::string clean = serialize_pack(sample_snapshot());
+  const auto original = decode_snapshot(clean);
+  ASSERT_TRUE(original.has_value());
+  const std::size_t begin = pack_entry_at(PackSection::kDate);
+  const std::size_t end = pack_entry_at(PackSection::kLsePool);
+  for (std::size_t at = begin; at < end; ++at) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      std::string bytes = clean;
+      bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^
+                                    (1u << bit));
+      DecodeDiagnostics diag;
+      auto salvaged =
+          decode_snapshot(bytes, DecodeOptions{.tolerant = true}, &diag);
+      ASSERT_TRUE(salvaged.has_value()) << "at=" << at << " bit=" << bit;
+      EXPECT_GE(diag.faults_total(), 1u) << "at=" << at << " bit=" << bit;
+      salvaged->date = original->date;
+      SCOPED_TRACE("at=" + std::to_string(at) + " bit=" + std::to_string(bit));
+      expect_same_columns(*salvaged, *original);
+    }
+  }
 }
 
 TEST(WartsLite, TextRenderingContainsKeyFields) {
@@ -497,7 +548,7 @@ TEST_P(WartsFuzz, RandomSnapshotsRoundTrip) {
   const SnapshotBatch snap =
       test::snapshot_of(traces, cycle_id, sub_index, "2013-07");
 
-  const auto back = parse_snapshot(serialize_snapshot(snap));
+  const auto back = decode_snapshot(serialize_pack(snap));
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->trace_count(), traces.size());
   for (std::size_t i = 0; i < traces.size(); ++i) {

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "dataset/warts_lite.h"
+#include "dataset/pack.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
 #include "igp/spf.h"
@@ -297,7 +297,7 @@ gen::GenConfig churny_config() {
 
 std::string snapshot_bytes(const gen::CampaignRunner& runner,
                            gen::MonthContext& ctx, int cycle) {
-  return dataset::serialize_snapshot(runner.snapshot(ctx, cycle, 0));
+  return dataset::serialize_pack(runner.snapshot(ctx, cycle, 0));
 }
 
 // Evolving through cycles — contiguously and across gaps — lands on a world
@@ -358,8 +358,8 @@ TEST(DeltaEvolver, MonthDataMatchesFreshMonth) {
     const dataset::MonthData fresh = runner.month(cycle);
     ASSERT_EQ(evolved.snapshots.size(), fresh.snapshots.size());
     for (std::size_t i = 0; i < fresh.snapshots.size(); ++i) {
-      EXPECT_EQ(dataset::serialize_snapshot(evolved.snapshots[i]),
-                dataset::serialize_snapshot(fresh.snapshots[i]))
+      EXPECT_EQ(dataset::serialize_pack(evolved.snapshots[i]),
+                dataset::serialize_pack(fresh.snapshots[i]))
           << "cycle=" << cycle << " snapshot=" << i;
     }
   }
@@ -509,9 +509,9 @@ TEST(DailyMonth, MatchesPerDayReinstantiation) {
         runner.snapshot(ctx, cycle, day - 1, day_config);
     ref.date = daily[static_cast<std::size_t>(day - 1)].date;
 
-    EXPECT_EQ(dataset::serialize_snapshot(daily[static_cast<std::size_t>(
+    EXPECT_EQ(dataset::serialize_pack(daily[static_cast<std::size_t>(
                   day - 1)]),
-              dataset::serialize_snapshot(ref))
+              dataset::serialize_pack(ref))
         << "day=" << day;
   }
 }

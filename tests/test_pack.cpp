@@ -1,5 +1,6 @@
-// warts-lite v3 pack: round trips, checksums, fault taxonomy, v2 parity,
-// and the SnapshotSource / MmapFile ingest stack built on top of it.
+// warts-lite v3 pack: round trips, checksums, fault taxonomy, report parity
+// through the pack, and the SnapshotSource / MmapFile ingest stack built on
+// top of it.
 #include "dataset/pack.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 
 #include "core/report.h"
 #include "dataset/snapshot_source.h"
-#include "dataset/warts_lite.h"
 #include "run/runner.h"
 #include "trace_builder.h"
 #include "util/mmap_file.h"
@@ -118,7 +118,7 @@ TEST(Pack, RoundTripPreservesEverything) {
   EXPECT_EQ(static_cast<std::uint8_t>(bytes[4]), kPackVersion);
 
   DecodeDiagnostics diag;
-  const auto back = parse_pack(bytes, DecodeOptions{}, &diag);
+  const auto back = decode_snapshot(bytes, DecodeOptions{}, &diag);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(diag.clean());
   EXPECT_EQ(diag.records_decoded, 2u);
@@ -144,7 +144,7 @@ TEST(Pack, RoundTripPreservesEverything) {
 
 TEST(Pack, EmptySnapshotRoundTrip) {
   const SnapshotBatch snap = test::snapshot_of({}, 3, 0, "2011-07");
-  const auto back = parse_pack(serialize_pack(snap));
+  const auto back = decode_snapshot(serialize_pack(snap));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycle_id, 3u);
   EXPECT_EQ(back->date, "2011-07");
@@ -186,14 +186,14 @@ TEST(Pack, RejectsBadMagicAndVersion) {
   DecodeDiagnostics diag;
   // Wrong magic is not recognizable even tolerantly.
   EXPECT_FALSE(
-      parse_pack(wrong_magic, DecodeOptions{.tolerant = true}, &diag));
+      decode_snapshot(wrong_magic, DecodeOptions{.tolerant = true}, &diag));
   EXPECT_EQ(diag.count(FaultClass::kBadMagic), 1u);
 
   std::string wrong_version = bytes;
   wrong_version[4] = 9;
   diag = {};
   EXPECT_FALSE(
-      parse_pack(wrong_version, DecodeOptions{.tolerant = true}, &diag));
+      decode_snapshot(wrong_version, DecodeOptions{.tolerant = true}, &diag));
   EXPECT_EQ(diag.count(FaultClass::kBadVersion), 1u);
 }
 
@@ -203,7 +203,7 @@ TEST(Pack, TruncationSweepIsBoundsSafe) {
     const std::string_view cut(bytes.data(), len);
     // Strict: any truncation (except the full buffer) is a hard fault.
     DecodeDiagnostics strict;
-    const auto s = parse_pack(cut, DecodeOptions{}, &strict);
+    const auto s = decode_snapshot(cut, DecodeOptions{}, &strict);
     if (len == bytes.size()) {
       EXPECT_TRUE(s.has_value());
     } else {
@@ -213,7 +213,7 @@ TEST(Pack, TruncationSweepIsBoundsSafe) {
     // Tolerant: never reads past `cut` (ASan tier), never returns more than
     // the original traces, and accepts once magic + version survive.
     DecodeDiagnostics tol;
-    const auto t = parse_pack(cut, DecodeOptions{.tolerant = true}, &tol);
+    const auto t = decode_snapshot(cut, DecodeOptions{.tolerant = true}, &tol);
     if (len >= 5) {
       ASSERT_TRUE(t.has_value()) << "len " << len;
       EXPECT_LE(t->trace_count(), 2u);
@@ -231,11 +231,11 @@ TEST(Pack, ChecksumMismatchIsStrictFatalTolerantSurvivable) {
   bytes[off] = static_cast<char>(static_cast<unsigned char>(bytes[off]) ^ 0x40);
 
   DecodeDiagnostics strict;
-  EXPECT_FALSE(parse_pack(bytes, DecodeOptions{}, &strict));
+  EXPECT_FALSE(decode_snapshot(bytes, DecodeOptions{}, &strict));
   EXPECT_EQ(strict.count(FaultClass::kChecksumMismatch), 1u);
 
   DecodeDiagnostics tol;
-  const auto salvaged = parse_pack(bytes, DecodeOptions{.tolerant = true}, &tol);
+  const auto salvaged = decode_snapshot(bytes, DecodeOptions{.tolerant = true}, &tol);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_EQ(tol.count(FaultClass::kChecksumMismatch), 1u);
   // The damaged column stays bounds-safe: all records still decode (with a
@@ -253,11 +253,11 @@ TEST(Pack, BadOffsetColumnSkipsExactlyTheDamagedRecord) {
   restamp_checksum(bytes, PackSection::kTraceHopOffset);
 
   DecodeDiagnostics strict;
-  EXPECT_FALSE(parse_pack(bytes, DecodeOptions{}, &strict));
+  EXPECT_FALSE(decode_snapshot(bytes, DecodeOptions{}, &strict));
   EXPECT_GT(strict.count(FaultClass::kBadOffsetIndex), 0u);
 
   DecodeDiagnostics tol;
-  const auto salvaged = parse_pack(bytes, DecodeOptions{.tolerant = true}, &tol);
+  const auto salvaged = decode_snapshot(bytes, DecodeOptions{.tolerant = true}, &tol);
   ASSERT_TRUE(salvaged.has_value());
   EXPECT_EQ(tol.count(FaultClass::kBadOffsetIndex), 1u);
   EXPECT_EQ(tol.records_skipped, 1u);
@@ -266,9 +266,9 @@ TEST(Pack, BadOffsetColumnSkipsExactlyTheDamagedRecord) {
   EXPECT_EQ(salvaged->traces.view(0).monitor_id(), 8u);  // the undamaged one
 }
 
-// --- v2 <-> v3 parity ---------------------------------------------------
+// --- report parity through the pack -----------------------------------
 
-TEST(Pack, ParityWithV2AcrossFormatsAndThreadCounts) {
+TEST(Pack, ParityAcrossThreadCounts) {
   run::RunnerConfig config;
   config.gen.background_tier1 = 1;
   config.gen.background_transit = 6;
@@ -280,38 +280,29 @@ TEST(Pack, ParityWithV2AcrossFormatsAndThreadCounts) {
   const dataset::MonthData month = runner.month_data(0);
   ASSERT_FALSE(month.snapshots.empty());
 
-  // The same month through both containers...
-  auto reingest = [&](bool pack) {
-    dataset::MonthData out;
-    out.cycle_id = month.cycle_id;
-    out.date = month.date;
-    for (const SnapshotBatch& snap : month.snapshots) {
-      const std::string bytes =
-          pack ? serialize_pack(snap) : serialize_snapshot(snap);
-      auto back = decode_snapshot(bytes);
-      EXPECT_TRUE(back.has_value());
-      runner.ip2as().annotate(back->traces);
-      out.snapshots.push_back(std::move(*back));
-    }
-    return out;
-  };
-  const dataset::MonthData via_v2 = reingest(false);
-  const dataset::MonthData via_v3 = reingest(true);
+  // The same month through the pack and re-annotated...
+  dataset::MonthData reingested;
+  reingested.cycle_id = month.cycle_id;
+  reingested.date = month.date;
+  for (const SnapshotBatch& snap : month.snapshots) {
+    auto back = decode_snapshot(serialize_pack(snap));
+    ASSERT_TRUE(back.has_value());
+    runner.ip2as().annotate(back->traces);
+    reingested.snapshots.push_back(std::move(*back));
+  }
 
-  // ...yields byte-identical LPR reports at any thread count.
+  // ...yields the in-memory month's LPR report, byte for byte, at any
+  // thread count.
   const lpr::CycleReport baseline =
-      lpr::run_pipeline(via_v2, runner.ip2as(), {}, nullptr);
+      lpr::run_pipeline(month, runner.ip2as(), {}, nullptr);
   ASSERT_GT(baseline.global.total(), 0u);
   const std::string want = baseline.to_json(true);
-  EXPECT_EQ(lpr::run_pipeline(via_v3, runner.ip2as(), {}, nullptr)
+  EXPECT_EQ(lpr::run_pipeline(reingested, runner.ip2as(), {}, nullptr)
                 .to_json(true),
             want);
   for (const unsigned threads : {2u, 4u}) {
     util::ThreadPool pool(threads);
-    EXPECT_EQ(lpr::run_pipeline(via_v2, runner.ip2as(), {}, &pool)
-                  .to_json(true),
-              want);
-    EXPECT_EQ(lpr::run_pipeline(via_v3, runner.ip2as(), {}, &pool)
+    EXPECT_EQ(lpr::run_pipeline(reingested, runner.ip2as(), {}, &pool)
                   .to_json(true),
               want);
   }
@@ -348,35 +339,7 @@ TEST(MmapFileTest, MapsReadsAndFallsBackGracefully) {
 
 // --- SnapshotSource -----------------------------------------------------
 
-TEST(SnapshotSourceTest, MemoryAndBytesSourcesDrain) {
-  std::vector<SnapshotBatch> snaps;
-  snaps.push_back(sample_snapshot());
-  snaps.emplace_back();
-  auto memory = make_memory_source(std::move(snaps));
-  EXPECT_EQ(memory->next()->trace_count(), 2u);
-  EXPECT_TRUE(memory->next().has_value());
-  EXPECT_FALSE(memory->next().has_value());
-  EXPECT_FALSE(memory->failed());
-
-  // A bytes source decodes a mix of containers, sniffing each buffer.
-  const SnapshotBatch snap = sample_snapshot();
-  auto bytes = make_bytes_source({serialize_snapshot(snap),
-                                  serialize_pack(snap)});
-  const auto via_v2 = bytes->next();
-  const auto via_v3 = bytes->next();
-  ASSERT_TRUE(via_v2.has_value());
-  ASSERT_TRUE(via_v3.has_value());
-  EXPECT_EQ(serialize_snapshot(*via_v2), serialize_snapshot(*via_v3));
-  EXPECT_FALSE(bytes->next().has_value());
-  EXPECT_FALSE(bytes->failed());
-
-  auto bad = make_bytes_source({std::string("garbage")});
-  EXPECT_FALSE(bad->next().has_value());
-  EXPECT_TRUE(bad->failed());
-  EXPECT_NE(bad->error().find("buffer 0"), std::string::npos);
-}
-
-TEST(SnapshotSourceTest, FileSourceStreamsMixedFormats) {
+TEST(SnapshotSourceTest, FileSourceStreamsPackShards) {
   const fs::path dir = fs::temp_directory_path() /
                        ("mum_pack_source_" + std::to_string(::getpid()));
   fs::remove_all(dir);
@@ -385,9 +348,9 @@ TEST(SnapshotSourceTest, FileSourceStreamsMixedFormats) {
   const SnapshotBatch a = sample_snapshot();
   SnapshotBatch b = sample_snapshot();
   b.sub_index = 2;
-  std::ofstream(dir / "a.mumw", std::ios::binary) << serialize_snapshot(a);
+  std::ofstream(dir / "a.mump", std::ios::binary) << serialize_pack(a);
   std::ofstream(dir / "b.mump", std::ios::binary) << serialize_pack(b);
-  const std::vector<std::string> paths{(dir / "a.mumw").string(),
+  const std::vector<std::string> paths{(dir / "a.mump").string(),
                                        (dir / "b.mump").string()};
 
   // With and without a pool (prefetch overlap) the stream is identical.
@@ -408,14 +371,16 @@ TEST(SnapshotSourceTest, FileSourceStreamsMixedFormats) {
   }
 
   // Missing and undecodable files fail with the path in the error.
-  auto missing = make_file_source({(dir / "nope.mumw").string()}, {}, nullptr);
+  auto missing = make_file_source({(dir / "nope.mump").string()}, {}, nullptr);
   EXPECT_FALSE(missing->next().has_value());
   EXPECT_NE(missing->error().find("cannot read"), std::string::npos);
+  EXPECT_EQ(missing->error_kind(), SourceErrorKind::kUnreadable);
   std::ofstream(dir / "junk.mump", std::ios::binary) << "not a container";
   auto junk = make_file_source({(dir / "junk.mump").string()}, {}, nullptr);
   EXPECT_FALSE(junk->next().has_value());
   EXPECT_TRUE(junk->failed());
   EXPECT_NE(junk->error().find("junk.mump"), std::string::npos);
+  EXPECT_EQ(junk->error_kind(), SourceErrorKind::kUndecodable);
 
   fs::remove_all(dir);
 }

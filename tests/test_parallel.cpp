@@ -13,7 +13,7 @@
 #include "core/classify.h"
 #include "core/extract.h"
 #include "core/report.h"
-#include "dataset/warts_lite.h"
+#include "dataset/pack.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
 #include "run/runner.h"
@@ -144,7 +144,7 @@ TEST(Merge, ClassCountsSumsAllClasses) {
 // --- serial vs parallel bit-identity -----------------------------------------
 
 std::string snapshot_bytes(const dataset::SnapshotBatch& snap) {
-  return dataset::serialize_snapshot(snap);
+  return dataset::serialize_pack(snap);
 }
 
 TEST(Determinism, SnapshotIdenticalAcrossThreadCounts) {

@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "dataset/warts_lite.h"
 #include "run/checkpoint.h"
 #include "run/runner.h"
 
@@ -510,8 +509,8 @@ TEST_F(SupervisionRun, MixedFailureResumeByteIdenticalAcrossThreads) {
   // One directory holding every kind of damage at once: a valid checkpoint,
   // a corrupt one (quarantined), a missing one with complete shards
   // (kFromData), a missing one with an incomplete shard set (regenerated),
-  // and a cycle whose shards were rewritten in the v3 pack format (readers
-  // sniff the magic). Resume at 1, 4 and 16 threads must agree byte for
+  // and a missing one whose intact shards sit beside torn ".tmp" shard
+  // litter (never read). Resume at 1, 4 and 16 threads must agree byte for
   // byte with the uninterrupted run, and say what happened in the manifest.
   constexpr int kCycles = 5;
   const std::string baseline =
@@ -535,18 +534,12 @@ TEST_F(SupervisionRun, MixedFailureResumeByteIdenticalAcrossThreads) {
     // Cycle 3: checkpoint missing AND a shard missing -> incomplete set,
     // full recompute (a thinned month must never be silently accepted).
     fs::remove(dir / run::checkpoint_filename(3));
-    fs::remove(dir / run::data_shard_filename(3, 1, 2));
-    // Cycle 4: checkpoint missing, shards re-encoded as v3 packs.
+    fs::remove(dir / run::data_shard_filename(3, 1));
+    // Cycle 4: checkpoint missing, shards intact next to the torn temp
+    // files an interrupted rewrite leaves behind -> kFromData.
     fs::remove(dir / run::checkpoint_filename(4));
     for (const auto& path : run::find_data_shards(dir.string(), 4)) {
-      std::ifstream is(path, std::ios::binary);
-      std::stringstream ss;
-      ss << is.rdbuf();
-      const auto snap = dataset::parse_snapshot(ss.str());
-      ASSERT_TRUE(snap.has_value()) << path;
-      const std::size_t sub = snap->sub_index;
-      ASSERT_TRUE(run::write_data_shard(dir.string(), 4, sub, *snap, 3));
-      fs::remove(path);
+      std::ofstream(path + ".tmp", std::ios::binary) << "MUMP\x03 torn";
     }
   };
 

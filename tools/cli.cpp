@@ -10,15 +10,15 @@
 #include "core/alias.h"
 #include "core/report.h"
 #include "core/tree.h"
-#include "dataset/pack.h"
 #include "dataset/snapshot_source.h"
-#include "dataset/warts_lite.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
 #include "obs/log.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "run/checkpoint.h"
 #include "run/runner.h"
+#include "util/io.h"
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -118,13 +118,6 @@ std::optional<std::string> Args::unknown_flag() const {
 // ----------------------------------------------------------------------
 
 namespace {
-
-// --format v2|v3: container format for files this command writes.
-std::optional<std::uint8_t> parse_format(const std::string& text) {
-  if (text == "v2" || text == "2") return dataset::kWartsLiteVersion;
-  if (text == "v3" || text == "3") return dataset::kPackVersion;
-  return std::nullopt;
-}
 
 // --scale routers=N[,lsps=M]: world-size targets; k/m suffixes accepted
 // (routers=100k, lsps=1m). Returns false + error message on bad input.
@@ -232,8 +225,7 @@ struct LoadResult {
 
 // Consumes --tolerant/--strict along with the input flags. Strict (the
 // default) aborts on the first malformed record; tolerant skips and counts.
-// Files stream through a dataset::SnapshotSource, so both container
-// formats (and mixes of them) load through one path, with shard N+1
+// Files stream through a dataset::SnapshotSource, with shard N+1
 // prefetched while shard N decodes when a pool is supplied.
 LoadResult load_inputs(Args& args, std::ostream& err, bool need_ip2as,
                        util::ThreadPool* pool = nullptr) {
@@ -350,7 +342,6 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
   const long seed = args.take_int("--seed", 20151028);
   const long snapshots = args.take_int("--snapshots", 3);
   const bool small = args.take_flag("--small");
-  const auto format_spec = args.take_value("--format");
   util::ThreadPool pool = make_pool(args);
   if (!args.ok()) {
     err << args.error() << '\n';
@@ -369,15 +360,6 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
     err << "--snapshots must be >= 1\n";
     return kExitUsage;
   }
-  std::uint8_t format = dataset::kWartsLiteVersion;
-  if (format_spec) {
-    const auto parsed = parse_format(*format_spec);
-    if (!parsed) {
-      err << "--format must be v2 or v3, got '" << *format_spec << "'\n";
-      return kExitUsage;
-    }
-    format = *parsed;
-  }
 
   gen::GenConfig config;
   config.seed = static_cast<std::uint64_t>(seed);
@@ -395,28 +377,27 @@ int run_generate(Args& args, std::ostream& out, std::ostream& err) {
   const auto month = gen::CampaignRunner(internet, ip2as, campaign, &pool)
                          .month(static_cast<int>(cycle) - 1);
 
-  fs::create_directories(*out_dir);
+  // Shards go through the campaign's own atomic pack writer; both writes
+  // route through util::io, and any failure is fatal (nothing is reported
+  // as written unless it was).
   for (const auto& snap : month.snapshots) {
-    const fs::path file =
-        fs::path(*out_dir) /
-        ("cycle" + std::to_string(snap.cycle_id + 1) + "_s" +
-         std::to_string(snap.sub_index) +
-         (format >= dataset::kPackVersion ? ".mump" : ".mumw"));
-    std::ofstream os(file, std::ios::binary);
-    if (!os) {
+    const int shard_cycle = static_cast<int>(snap.cycle_id);
+    const std::string file =
+        (fs::path(*out_dir) /
+         run::data_shard_filename(shard_cycle, snap.sub_index))
+            .string();
+    if (!run::write_data_shard(*out_dir, shard_cycle, snap.sub_index, snap)) {
       err << "cannot write " << file << '\n';
       return kExitFatal;
     }
-    const std::string bytes = format >= dataset::kPackVersion
-                                  ? dataset::serialize_pack(snap)
-                                  : dataset::serialize_snapshot(snap);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out << "wrote " << file.string() << " (" << snap.trace_count()
-        << " traces)\n";
+    out << "wrote " << file << " (" << snap.trace_count() << " traces)\n";
   }
   const fs::path table_file = fs::path(*out_dir) / "ip2as.txt";
-  std::ofstream ts(table_file);
-  ts << dataset::to_table_text(ip2as);
+  if (!util::io::env().write_file(table_file.string(),
+                                  dataset::to_table_text(ip2as))) {
+    err << "cannot write " << table_file.string() << '\n';
+    return kExitFatal;
+  }
   out << "wrote " << table_file.string() << " (" << ip2as.prefix_count()
       << " prefixes)\n";
   return kExitOk;
@@ -599,7 +580,6 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
   const auto chaos_spec = args.take_value("--chaos");
   const auto checkpoint_dir = args.take_value("--checkpoints");
   const auto resume_dir = args.take_value("--resume");
-  const auto format_spec = args.take_value("--format");
   const auto telemetry = args.take_eq_flag("--telemetry");
   const auto trace_out = args.take_value("--trace-out");
   const auto evolve_spec = args.take_value("--evolve");
@@ -680,14 +660,6 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
   if (checkpoint_data && config.checkpoint_dir.empty()) {
     err << "--checkpoint-data requires --checkpoints or --resume\n";
     return kExitUsage;
-  }
-  if (format_spec) {
-    const auto parsed = parse_format(*format_spec);
-    if (!parsed) {
-      err << "--format must be v2 or v3, got '" << *format_spec << "'\n";
-      return kExitUsage;
-    }
-    config.snapshot_format = *parsed;
   }
   if (chaos_spec) {
     std::string error;
@@ -808,7 +780,7 @@ std::string usage() {
       "\n"
       "commands:\n"
       "  generate  --out DIR [--cycle N] [--seed S] [--snapshots K]\n"
-      "            [--small] [--format v2|v3] [--threads N]\n"
+      "            [--small] [--threads N]\n"
       "                           synthesize an Archipelago-style month\n"
       "  classify  --ip2as FILE SNAP [SNAP...] [--j N] [--alias]\n"
       "            [--router-level] [--csv] [--json | --json-iotps]\n"
@@ -824,15 +796,14 @@ std::string usage() {
       "            [--chaos SPEC] [--keep-going] [--failure-budget N]\n"
       "            [--retry N] [--cycle-deadline MS]\n"
       "            [--checkpoints DIR] [--resume DIR] [--checkpoint-data]\n"
-      "            [--format v2|v3] [--json] [--quiet | --verbose]\n"
+      "            [--json] [--quiet | --verbose]\n"
       "            [--telemetry[=FILE]] [--trace-out FILE]\n"
       "                           end-to-end campaign with containment\n"
       "\n"
       "--strict (the default) aborts on the first malformed record;\n"
       "--tolerant skips malformed records and reports what was dropped.\n"
-      "--format picks the container written to disk: v2 is the varint\n"
-      "stream (interchange default), v3 the mmap-able columnar pack.\n"
-      "Readers sniff the magic, so any command reads either format.\n"
+      "Snapshots on disk (SNAP, generate output, --checkpoint-data shards)\n"
+      "are warts-lite v3 packs: cycle_<N>_s<K>.mump.\n"
       "--chaos takes fault=rate pairs, e.g. 'all=2%' or\n"
       "'flip=0.01,blackout=5%,fail=0.1,seed=7'. io.* keys inject faults\n"
       "into the I/O layer itself (checkpoint/shard reads and writes):\n"

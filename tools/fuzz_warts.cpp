@@ -1,26 +1,26 @@
-// Fuzz entry point for the warts-lite decoders (v1/v2 stream + v3 pack).
+// Fuzz entry point for the warts-lite pack decoder and the ".mumc"
+// checkpoint decoder.
 //
 // Exposes the libFuzzer hook (LLVMFuzzerTestOneInput) so a clang
 // `-fsanitize=fuzzer` build can drive it (-DMUM_LIBFUZZER=ON). The default
 // build gets a standalone deterministic driver instead: it replays a corpus
-// of random buffers and mutated-but-plausible snapshots in both container
-// formats (bit flips, truncations, splices, and — for packs — targeted
-// header/section-table stomps), which is what scripts/tier1.sh runs under
-// ASan+UBSan. Decoding goes through parse_snapshot, which sniffs the magic,
-// so every buffer exercises whichever decoder claims it; a truncated pack
-// mapping must never be read past (the ASan tier enforces it).
+// of random buffers and mutated-but-plausible packs (bit flips,
+// truncations, splices, and targeted header/section-table stomps), which is
+// what scripts/tier1.sh runs under ASan+UBSan. Decoding goes through
+// decode_snapshot; a truncated pack mapping must never be read past (the
+// ASan tier enforces it).
 //
-// The oracle, both ways:
+// The oracle:
 //   * tolerant decode never crashes, never trips a sanitizer, and its
 //     diagnostics agree with what it returned (records_decoded == traces);
 //   * strict decode of the same bytes never crashes, and when it rejects it
 //     reports at least one fault;
-//   * whatever tolerant decode salvages re-serializes and re-parses cleanly
-//     in BOTH formats (the salvaged subset is a valid snapshot in its own
-//     right, and the two containers agree on it), and the pack ingest
-//     round-trips byte-stably (column memcpy in, column memcpy out).
+//   * whatever tolerant decode salvages re-serializes and re-decodes
+//     cleanly (the salvaged subset is a valid snapshot in its own right),
+//     and the pack ingest round-trips byte-stably (column memcpy in, column
+//     memcpy out).
 //
-// A third arm fuzzes run::parse_cycle_report (the ".mumc" checkpoint
+// A second arm fuzzes run::parse_cycle_report (the ".mumc" checkpoint
 // format resume trusts): mutated checkpoints with header stomps, checksum
 // stomps, truncations — and payload stomps *re-signed* with a fresh
 // checksum so the record decoders beneath the integrity gate get driven
@@ -33,7 +33,7 @@
 #include <string>
 
 #include "dataset/pack.h"
-#include "dataset/warts_lite.h"
+#include "dataset/snapshot_source.h"
 #include "run/checkpoint.h"
 #include "util/rng.h"
 
@@ -52,31 +52,21 @@ void check(bool ok, const char* what) {
 
 void run_one(const std::string& bytes) {
   DecodeDiagnostics tolerant_diag;
-  const auto tolerant = mum::dataset::parse_snapshot(
+  const auto tolerant = mum::dataset::decode_snapshot(
       bytes, DecodeOptions{.tolerant = true}, &tolerant_diag);
   if (tolerant) {
     check(tolerant_diag.records_decoded == tolerant->trace_count(),
           "records_decoded mismatches returned traces");
-    // The salvaged subset must itself round-trip cleanly — through the
-    // stream form and through the pack, and the two must agree.
-    const std::string stream_bytes =
-        mum::dataset::serialize_snapshot(*tolerant);
+    // The salvaged subset must itself round-trip cleanly and byte-stably.
+    const std::string pack_bytes = mum::dataset::serialize_pack(*tolerant);
     DecodeDiagnostics clean;
-    const auto again = mum::dataset::parse_snapshot(
-        stream_bytes, DecodeOptions{.tolerant = true}, &clean);
-    check(again.has_value(), "salvaged snapshot does not re-parse");
-    check(clean.clean(), "salvaged snapshot re-parses with faults");
+    const auto again = mum::dataset::decode_snapshot(
+        pack_bytes, DecodeOptions{.tolerant = true}, &clean);
+    check(again.has_value(), "salvaged snapshot does not re-decode");
+    check(clean.clean(), "salvaged snapshot re-decodes with faults");
     check(again->trace_count() == tolerant->trace_count(),
           "salvaged snapshot loses traces on round trip");
-    DecodeDiagnostics pack_clean;
-    const std::string pack_bytes = mum::dataset::serialize_pack(*tolerant);
-    const auto packed = mum::dataset::parse_pack(
-        pack_bytes, DecodeOptions{.tolerant = true}, &pack_clean);
-    check(packed.has_value(), "salvaged snapshot does not re-parse as pack");
-    check(pack_clean.clean(), "salvaged pack re-parses with faults");
-    check(mum::dataset::serialize_snapshot(*packed) == stream_bytes,
-          "stream and pack round trips disagree");
-    check(mum::dataset::serialize_pack(*packed) == pack_bytes,
+    check(mum::dataset::serialize_pack(*again) == pack_bytes,
           "pack round trip is not byte-stable");
   } else {
     check(tolerant_diag.faults_total() > 0,
@@ -84,7 +74,7 @@ void run_one(const std::string& bytes) {
   }
 
   DecodeDiagnostics strict_diag;
-  const auto strict = mum::dataset::parse_snapshot(
+  const auto strict = mum::dataset::decode_snapshot(
       bytes, DecodeOptions{.tolerant = false}, &strict_diag);
   if (strict) {
     check(strict_diag.clean(), "strict acceptance with faults recorded");
@@ -114,7 +104,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
   // Route by magic: "MUMC" buffers exercise the checkpoint decoder (the
-  // snapshot sniffers would reject them at the magic check anyway).
+  // pack decoder would reject them at the magic check anyway).
   if (bytes.size() >= 4 && bytes.compare(0, 4, "MUMC") == 0) {
     run_one_checkpoint(bytes);
   } else {
@@ -279,7 +269,8 @@ mum::lpr::CycleReport seed_report(mum::util::Rng& rng) {
   const int samples = static_cast<int>(rng.below(4));
   for (int s = 0; s < samples; ++s) {
     report.decode.samples.push_back(mum::dataset::DecodeFault{
-        static_cast<mum::dataset::FaultClass>(rng.below(12)),
+        static_cast<mum::dataset::FaultClass>(
+            rng.below(mum::dataset::kFaultClassCount)),
         static_cast<std::size_t>(rng.below(4096)), rng.below(1000),
         "fuzz sample"});
   }
@@ -405,25 +396,15 @@ int main(int argc, char** argv) {
         bytes.push_back(static_cast<char>(rng.below(256)));
       }
       if (rng.chance(0.5)) {
-        // Give noise a valid header so it reaches the record decoder (or,
-        // for packs, the section-table validator).
-        if (rng.chance(0.5)) {
-          bytes = std::string("MUMW") +
-                  std::string(1, static_cast<char>(1 + rng.below(2))) + bytes;
-        } else {
-          bytes = std::string("MUMP") + std::string(1, char{3}) +
-                  std::string(3, char{0}) + bytes;
-        }
+        // Give noise a valid header so it reaches the section-table
+        // validator.
+        bytes = std::string("MUMP") + std::string(1, char{3}) +
+                std::string(3, char{0}) + bytes;
       }
     } else {
-      // Mutated valid snapshot, at a random container/format version.
-      auto snap = seed_snapshot(rng);
-      const bool pack = rng.chance(0.4);
-      bytes = pack ? mum::dataset::serialize_pack(snap)
-                   : mum::dataset::serialize_snapshot(
-                         snap, rng.chance(0.3) ? std::uint8_t{1}
-                                               : std::uint8_t{2});
-      if (pack && rng.chance(0.6)) {
+      // Mutated valid pack.
+      bytes = mum::dataset::serialize_pack(seed_snapshot(rng));
+      if (rng.chance(0.6)) {
         bytes = stomp_pack_tables(std::move(bytes), rng);
       }
       const int rounds = 1 + static_cast<int>(rng.below(3));
