@@ -16,7 +16,7 @@ int main() {
   run::Runner study(bench::default_study());
   std::cout << "Fig. 13 — AS6453 Mono-FEC sub-split (Parallel Links vs "
                "Routers Disjoint)\n(running the 60-cycle study...)\n\n";
-  const lpr::LongitudinalReport report = study.run_all();
+  const lpr::LongitudinalReport report = study.run_all_contained().report;
   std::cout << '\n';
 
   util::TextTable table({"cycle", "date", "Mono-FEC", "parallel", "disjoint",

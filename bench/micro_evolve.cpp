@@ -1,8 +1,10 @@
 // Cycle evolution vs from-scratch rebuild, across world-size tiers.
 //
-// BM_CycleRebuild is the oracle path (`--evolve off`): every cycle runs a
-// full Internet::instantiate. BM_CycleEvolve advances one standing world
-// through DeltaEvolver::evolve_to — pristine rollback plus seed-keyed deltas.
+// BM_CycleRebuild is the oracle path (`Internet::instantiate`, which
+// `Runner::run_cycle` uses): every cycle runs a full rebuild.
+// BM_CycleEvolve advances one standing world through
+// DeltaEvolver::evolve_to — pristine rollback plus seed-keyed deltas, the
+// step every campaign takes.
 // scripts/bench.sh records the numbers in BENCH_PR8.json and gates on the
 // rebuild/evolve ratio at the 10^4-router tier (the delta step must be >= 5x
 // faster).

@@ -69,12 +69,14 @@ done
 echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON
 # Only these targets — a full TSan tree is slow and adds nothing here.
-# test_obs runs with telemetry sinks installed, so the sharded metric and
-# trace paths get raced for real. test_evolve races the DeltaEvolver's
-# per-AS delta fan-out and the evolved runner at 16 threads. test_batch
-# races the arena-backed shard batches (one arena per monitor, merged in
-# monitor order) at 16 threads and checks the reports against pinned
-# digests.
+# The campaign loop runs cycles in order, so every race lives inside a
+# cycle's pooled stages. test_parallel races the monitor fan-out, the
+# classification shards and the runner across thread counts. test_obs runs
+# with telemetry sinks installed, so the sharded metric and trace paths get
+# raced for real. test_evolve races the DeltaEvolver's per-AS delta fan-out
+# and SPF sources inside the campaign loop at 16 threads. test_batch races
+# the arena-backed shard batches (one arena per monitor, merged in monitor
+# order) at 16 threads and checks the reports against pinned digests.
 cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
   --target test_evolve --target test_batch
 "$tsan_build/tests/test_parallel"

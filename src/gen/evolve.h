@@ -12,9 +12,10 @@
 //
 // Determinism contract (the oracle property, enforced by tests/test_evolve):
 // every per-cycle delta is a pure function of (seed, asn, cycle), so a
-// delta-evolved cycle is byte-identical to `instantiate(cycle)` — the full
-// rebuild stays available as the oracle (`--evolve off`) — at any thread
-// count.
+// delta-evolved cycle is byte-identical to `instantiate(cycle)` at any
+// thread count. The full rebuild stays available as the oracle
+// (`Internet::instantiate`, and `run::Runner::run_cycle` above it); every
+// campaign runs through the evolver.
 #pragma once
 
 #include <cstddef>

@@ -4,11 +4,12 @@
 // The runner installs a StageTimings accumulator for the duration of one
 // cycle via StageScope; instrumented blocks bracket themselves with
 // StageSpan (or call add_stage_ns directly, as the IGP layer does for SPF
-// work buried inside generation). This works because the thread pool runs
-// nested parallel regions inline: once a cycle's body starts on a worker,
-// every inner phase executes on that same thread, so a thread_local
-// accumulator pointer attributes all of the cycle's work correctly at any
-// thread count.
+// work buried inside generation). The accumulator is thread_local and lives
+// on the thread running the cycle loop: spans on that thread reach the
+// manifest, while spans that run on pool workers (per-AS evolution, SPF
+// over sources, monitor fan-out) reach the registry and the trace but not
+// the manifest. At threads > 1 the manifest's stages under-count the
+// registry's.
 //
 // Stages may overlap: SPF reconvergence runs *inside* generation, so
 // spf <= generate and the stage array does not sum to the cycle duration.

@@ -1,6 +1,5 @@
 #include "run/runner.h"
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -75,7 +74,7 @@ dataset::MonthData Runner::month_data(int cycle,
 }
 
 lpr::CycleReport Runner::run_cycle(int cycle) const {
-  return run_cycle_chaos(cycle, nullptr);
+  return classify(cycle, prepare_month(cycle, nullptr, nullptr, nullptr));
 }
 
 dataset::MonthData Runner::prepare_month(int cycle,
@@ -124,21 +123,13 @@ dataset::MonthData Runner::prepare_month(int cycle,
   return month;
 }
 
-lpr::CycleReport Runner::run_cycle_chaos(int cycle,
-                                         chaos::Corruptor* corruptor,
-                                         gen::DeltaEvolver* evolver) const {
-  dataset::DecodeDiagnostics decode;
-  const dataset::MonthData month =
-      prepare_month(cycle, corruptor, &decode, evolver);
+lpr::CycleReport Runner::classify(int cycle,
+                                  const dataset::MonthData& month) const {
   // Stage boundary: a deadline can fire on compute-only cycles here (no-op
-  // outside a CycleScope, so run_all and the benches never pay for it).
+  // outside a CycleScope, so run_cycle and the benches never pay for it).
   util::io::check_deadline();
   const obs::StageSpan span(obs::Stage::kClassify, cycle);
-  lpr::CycleReport report =
-      lpr::run_pipeline(month, ip2as_, config_.pipeline, pool_.get());
-  report.decode = std::move(decode);
-  util::io::check_deadline();
-  return report;
+  return lpr::run_pipeline(month, ip2as_, config_.pipeline, pool_.get());
 }
 
 void Runner::quarantine_file(const std::string& path,
@@ -205,43 +196,8 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
     }
     return std::nullopt;
   }
-  util::io::check_deadline();
-  const obs::StageSpan span(obs::Stage::kClassify, cycle);
-  lpr::CycleReport report =
-      lpr::run_pipeline(month, ip2as_, config_.pipeline, pool_.get());
+  lpr::CycleReport report = classify(cycle, month);
   report.decode = source->diagnostics();
-  return report;
-}
-
-lpr::LongitudinalReport Runner::run_all() const {
-  const int first = config_.first_cycle;
-  const int last = config_.last_cycle;
-  const std::size_t n =
-      last >= first ? static_cast<std::size_t>(last - first + 1) : 0;
-
-  lpr::LongitudinalReport report;
-  report.cycles.resize(n);
-  const auto run_one = [&](std::size_t i, gen::DeltaEvolver* evolver) {
-    const int cycle = first + static_cast<int>(i);
-    const std::uint64_t t0 = obs::monotonic_ns();
-    report.cycles[i] = run_cycle_chaos(cycle, nullptr, evolver);
-    if (obs::TraceLog* t = obs::trace()) {
-      t->span("cycle", cycle, t0, obs::monotonic_ns() - t0);
-    }
-    log_cycle_progress(cycle, nullptr);
-  };
-  if (config_.evolve) {
-    // Delta evolution: cycles advance one standing world in order; inner
-    // stages (monitor fan-out, SPF, classification) still use the pool.
-    gen::DeltaEvolver evolver(internet_, pool_.get());
-    for (std::size_t i = 0; i < n; ++i) run_one(i, &evolver);
-  } else {
-    // Each cycle fills its own slot; inner generation/classification runs
-    // inline on the worker (nested parallel_for detects the region), so the
-    // pool is never oversubscribed.
-    util::parallel_for(pool_.get(), n,
-                       [&](std::size_t i) { run_one(i, nullptr); });
-  }
   return report;
 }
 
@@ -264,7 +220,6 @@ RunOutcome Runner::run_all_contained() const {
   out.manifest.first_cycle = first;
   out.manifest.last_cycle = last;
   out.manifest.threads = threads();
-  out.manifest.evolve = config_.evolve;
   out.manifest.cycles.resize(n);
 
   const bool data_chaos =
@@ -285,17 +240,19 @@ RunOutcome Runner::run_all_contained() const {
   const util::io::FaultCounts counts_before =
       active != nullptr ? active->counts() : util::io::FaultCounts{};
 
-  std::atomic<bool> abort{false};
-  std::atomic<bool> budget_exceeded{false};
-  std::atomic<int> failures{0};
+  bool abort = false;
+  int failures = 0;
   // ENOSPC degradation: after `enospc_degrade_threshold` consecutive
   // disk-full write failures the run stops persisting (checkpoints AND
   // shards) but keeps computing — the report completes, the manifest and
   // exit code say persistence was dropped.
-  std::atomic<int> enospc_streak{0};
-  std::atomic<bool> degraded{false};
+  int enospc_streak = 0;
 
-  const auto run_one = [&](std::size_t i, gen::DeltaEvolver* evolver) {
+  // One standing world advances through the cycle range in order;
+  // checkpoint-restored cycles skip generation entirely and the evolver
+  // jumps the gap when the next computed cycle asks for it.
+  gen::DeltaEvolver evolver(internet_, pool_.get());
+  for (std::size_t i = 0; i < n; ++i) {
     const int cycle = first + static_cast<int>(i);
     CycleStatus& status = out.manifest.cycles[i];
     status.cycle = cycle;
@@ -315,17 +272,17 @@ RunOutcome Runner::run_all_contained() const {
     // the ENOSPC streak feeds the degradation tripwire. Returns true when
     // the bytes landed.
     const auto supervised_write = [&](const auto& write) -> bool {
-      if (degraded.load(std::memory_order_acquire)) return false;
+      if (out.manifest.checkpoints_degraded) return false;
       for (int t = 0;; ++t) {
         if (write()) {
-          enospc_streak.store(0, std::memory_order_relaxed);
+          enospc_streak = 0;
           return true;
         }
         if (util::io::env().last_error() == util::io::Error::kEnospc) {
-          const int streak =
-              enospc_streak.fetch_add(1, std::memory_order_acq_rel) + 1;
-          if (streak >= config_.enospc_degrade_threshold &&
-              !degraded.exchange(true, std::memory_order_acq_rel)) {
+          if (++enospc_streak >= config_.enospc_degrade_threshold) {
+            out.manifest.checkpoints_degraded = true;
+            out.manifest.degraded_reason =
+                "persistent enospc: checkpoint persistence dropped";
             obs::log_warn(
                 "  ! persistent ENOSPC: dropping checkpoint persistence, "
                 "continuing compute-only");
@@ -355,12 +312,14 @@ RunOutcome Runner::run_all_contained() const {
       });
     };
 
-    // The cycle's whole body runs inline on this worker (nested parallel
-    // regions detect they're in-pool), so a scoped thread-local accumulator
-    // attributes every inner stage to this cycle at any thread count.
+    // Stage timings accumulate through a thread-local scope installed on
+    // this thread. Stage spans that run on pool workers (per-AS evolution,
+    // SPF sources, monitor fan-out) reach the registry's run.stage.*
+    // histograms but not this cycle's manifest stages, so at threads > 1
+    // the manifest under-counts what the registry records.
     const std::uint64_t cycle_t0 = obs::monotonic_ns();
     const auto process = [&] {
-      if (abort.load(std::memory_order_acquire)) {
+      if (abort) {
         status.outcome = CycleOutcome::kSkipped;
         return;
       }
@@ -400,35 +359,25 @@ RunOutcome Runner::run_all_contained() const {
           throw chaos::ChaosError("injected failure in cycle " +
                                   std::to_string(cycle + 1));
         }
+        dataset::DecodeDiagnostics decode;
+        const dataset::MonthData month = prepare_month(
+            cycle, data_chaos ? &corruptor : nullptr, &decode, &evolver);
+        util::io::check_deadline();
         if (checkpoints && config_.checkpoint_data) {
-          // Keep the month in hand so its snapshots can be persisted; the
-          // shards carry the post-chaos data (what the pipeline saw).
-          dataset::DecodeDiagnostics decode;
-          const dataset::MonthData month = prepare_month(
-              cycle, data_chaos ? &corruptor : nullptr, &decode, evolver);
-          util::io::check_deadline();
-          {
-            const obs::StageSpan span(obs::Stage::kReport, cycle);
-            for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
-              supervised_write([&] {
-                return write_data_shard(config_.checkpoint_dir, cycle, sub,
-                                        month.snapshots[sub]);
-              });
-            }
+          // The shards carry the post-chaos data (what the pipeline saw).
+          const obs::StageSpan span(obs::Stage::kReport, cycle);
+          for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
+            supervised_write([&] {
+              return write_data_shard(config_.checkpoint_dir, cycle, sub,
+                                      month.snapshots[sub]);
+            });
           }
-          {
-            const obs::StageSpan span(obs::Stage::kClassify, cycle);
-            slot = lpr::run_pipeline(month, ip2as_, config_.pipeline,
-                                     pool_.get());
-          }
-          slot.decode = std::move(decode);
-          util::io::check_deadline();
-        } else {
-          slot = run_cycle_chaos(cycle, data_chaos ? &corruptor : nullptr,
-                                 evolver);
         }
+        slot = classify(cycle, month);
+        slot.decode = std::move(decode);
+        util::io::check_deadline();
         status.outcome = CycleOutcome::kOk;
-        if (evolver != nullptr) status.delta = evolver->last_stats();
+        status.delta = evolver.last_stats();
         persist_checkpoint();
       } catch (...) {
         status.chaos = corruptor.stats();
@@ -438,15 +387,11 @@ RunOutcome Runner::run_all_contained() const {
     };
 
     const auto note_failure = [&] {
-      const int failed = failures.fetch_add(1, std::memory_order_acq_rel) + 1;
+      ++failures;
       const bool over_budget =
-          config_.failure_budget >= 0 && failed > config_.failure_budget;
-      if (over_budget) {
-        budget_exceeded.store(true, std::memory_order_release);
-      }
-      if (!config_.keep_going || over_budget) {
-        abort.store(true, std::memory_order_release);
-      }
+          config_.failure_budget >= 0 && failures > config_.failure_budget;
+      if (over_budget) out.manifest.failure_budget_exceeded = true;
+      if (!config_.keep_going || over_budget) abort = true;
     };
 
     {
@@ -480,8 +425,7 @@ RunOutcome Runner::run_all_contained() const {
           break;
         } catch (const std::exception& e) {
           reset_slot();
-          if (attempt < config_.retries &&
-              !abort.load(std::memory_order_acquire)) {
+          if (attempt < config_.retries && !abort) {
             ++attempt;
             retries_counter.inc();
             obs::log_warn("  ! cycle " + std::to_string(cycle + 1) +
@@ -517,26 +461,8 @@ RunOutcome Runner::run_all_contained() const {
     if (status.outcome != CycleOutcome::kSkipped) {
       log_cycle_progress(cycle, to_cstring(status.outcome));
     }
-  };
-
-  if (config_.evolve) {
-    // Delta evolution runs the cycle loop serially against one standing
-    // world; checkpoint-restored cycles skip generation entirely and the
-    // evolver jumps the gap when the next computed cycle asks for it.
-    gen::DeltaEvolver evolver(internet_, pool_.get());
-    for (std::size_t i = 0; i < n; ++i) run_one(i, &evolver);
-  } else {
-    util::parallel_for(pool_.get(), n,
-                       [&](std::size_t i) { run_one(i, nullptr); });
   }
 
-  out.manifest.failure_budget_exceeded =
-      budget_exceeded.load(std::memory_order_acquire);
-  if (degraded.load(std::memory_order_acquire)) {
-    out.manifest.checkpoints_degraded = true;
-    out.manifest.degraded_reason =
-        "persistent enospc: checkpoint persistence dropped";
-  }
   if (active != nullptr) {
     const util::io::FaultCounts counts_after = active->counts();
     out.manifest.io.ops = counts_after.ops - counts_before.ops;

@@ -1,17 +1,19 @@
 // Campaign-level execution engine: the library's top entry point for paper
 // studies. A Runner builds the synthetic internet once from its config, then
-// runs monthly cycles through generation and the LPR pipeline — serially or
-// across a thread pool it owns.
+// runs monthly cycles in order through generation and the LPR pipeline: one
+// standing world evolves cycle to cycle, and the inner stages (monitor
+// fan-out, per-AS evolution, SPF sources, classification) use a thread pool
+// the Runner owns.
 //
 // The fig*/table* binaries, the CLI and the examples all share this one
 // API.
 //
 // Determinism contract: all randomness derives from RNG streams keyed by
-// (seed, cycle, monitor)-style lineages, cycles are independent, and
-// per-worker results merge in index order — so `threads = N` produces
-// bit-identical reports to `threads = 1` for any N. Pick `threads` purely
-// for wall-clock: one per hardware thread (the default, threads = 0) is
-// right unless the machine is shared.
+// (seed, cycle, monitor)-style lineages, an evolved cycle is byte-identical
+// to a from-scratch rebuild of it, and per-worker results merge in index
+// order — so `threads = N` produces bit-identical reports to `threads = 1`
+// for any N. Pick `threads` purely for wall-clock: one per hardware thread
+// (the default, threads = 0) is right unless the machine is shared.
 #pragma once
 
 #include <map>
@@ -37,17 +39,9 @@ struct RunnerConfig {
   // dips "caused by measurement issues in the Archipelago infrastructure"
   // at cycles 23 and 58 (1-based) — modelled as a reduced monitor share.
   std::map<int, double> fleet_share_by_cycle = {{22, 0.55}, {57, 0.6}};
-  // Worker threads for cycle- and monitor-level parallelism: 0 = one per
+  // Worker threads for the inner stages of each cycle: 0 = one per
   // hardware thread, 1 = fully serial. Output is identical either way.
   int threads = 0;
-  // Delta-based cycle evolution (the default): cycles run in order against
-  // one standing world, each cycle a mutation of the previous one (pristine
-  // rollback + seed-keyed per-cycle deltas through incremental SPF and
-  // TE-only re-signalling). Inner stages still parallelize over the pool.
-  // Off = from-scratch instantiate per cycle, cycles fan out across the
-  // pool. Reports are byte-identical either way, at any thread count — the
-  // full rebuild is the delta path's oracle.
-  bool evolve = true;
 
   // --- fault injection & containment (run_all_contained only) -----------
   // Chaos faults injected into each cycle's data (off by default). When
@@ -111,26 +105,22 @@ class Runner {
   // Effective thread count (config.threads resolved against hardware).
   unsigned threads() const noexcept;
 
-  // Generate one month of data and run the LPR pipeline on it. Monitor
-  // fan-out and classification use the pool when threads > 1.
+  // Random access: instantiate one cycle's world from scratch, generate its
+  // month and run the LPR pipeline on it. Monitor fan-out and
+  // classification use the pool when threads > 1. This from-scratch rebuild
+  // is the oracle the evolved campaign loop is held byte-identical to.
   lpr::CycleReport run_cycle(int cycle) const;
   // Month data only (for benches that sweep pipeline configs over fixed
   // data, like the Fig. 6 persistence sweep).
   dataset::MonthData month_data(int cycle) const;
 
-  // Run the whole configured cycle range; cycles execute in parallel when
-  // threads > 1 and merge in cycle order. Progress goes through obs::log
-  // (one info line per 12 cycles, per-cycle at debug); line interleaving
-  // may differ across thread counts, reports never do.
-  // A worker exception propagates — use run_all_contained to survive it.
-  lpr::LongitudinalReport run_all() const;
-
-  // Containment variant: chaos injection, per-cycle error containment with
-  // the configured failure policy, checkpoints and resume. A failed cycle
-  // keeps a deterministic placeholder slot (cycle id + date, zero counts),
-  // so the final report stays byte-identical across thread counts whenever
-  // the set of attempted cycles is deterministic (always true under
-  // keep-going within budget, and for chaos-injected failures).
+  // The campaign loop: walks the configured cycle range in order against
+  // one gen::DeltaEvolver, with chaos injection, per-cycle error
+  // containment under the configured failure policy, checkpoints and
+  // resume. A failed cycle keeps a deterministic placeholder slot (cycle
+  // id + date, zero counts), and with the default fail-fast policy the
+  // remaining cycles are skipped; the manifest says which. Progress goes
+  // through obs::log (one info line per 12 cycles, per-cycle at debug).
   // The manifest additionally records per-cycle wall-clock and stage
   // timings, total wall-clock and peak RSS — observed state only; nothing
   // in the report depends on it.
@@ -138,18 +128,18 @@ class Runner {
 
  private:
   gen::CampaignConfig campaign_for(int cycle) const;
-  // month_data plus optional chaos: structural faults mutate the month's
-  // snapshots in place; wire faults round-trip them through a pack and
-  // tolerant decode, re-annotating
-  // survivors, with the decoder's diagnostics accumulated into `decode`.
   // `evolver`, when given, generates the month against the standing evolved
   // world instead of a from-scratch instantiate (byte-identical output).
   dataset::MonthData month_data(int cycle, gen::DeltaEvolver* evolver) const;
+  // month_data plus optional chaos: structural faults mutate the month's
+  // snapshots in place; wire faults round-trip them through a pack and
+  // tolerant decode, re-annotating survivors, with the decoder's
+  // diagnostics accumulated into `decode`.
   dataset::MonthData prepare_month(int cycle, chaos::Corruptor* corruptor,
                                    dataset::DecodeDiagnostics* decode,
-                                   gen::DeltaEvolver* evolver = nullptr) const;
-  lpr::CycleReport run_cycle_chaos(int cycle, chaos::Corruptor* corruptor,
-                                   gen::DeltaEvolver* evolver = nullptr) const;
+                                   gen::DeltaEvolver* evolver) const;
+  // The LPR pipeline over one month, behind a deadline check.
+  lpr::CycleReport classify(int cycle, const dataset::MonthData& month) const;
   // Re-ingest a cycle's persisted data shards (strict decode) and run the
   // pipeline on them. nullopt when shards are missing, incomplete (fewer
   // than the configured snapshots per cycle — a crash mid-persist must not

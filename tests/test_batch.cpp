@@ -54,7 +54,7 @@ run::RunnerConfig small_runner(int cycles, int threads = 1) {
 
 // Digests of what the heap-Trace path produced on small_gen(): the cycle-50
 // sub-0 snapshot as a pack, and the 3- and 4-cycle campaign reports
-// (run_all().to_json()).
+// (run_all_contained().report.to_json()).
 constexpr std::size_t kLegacyTraces = 480;
 constexpr std::uint64_t kLegacyPackDigest = 0x2fcd6939152838c8ull;
 constexpr std::uint64_t kLegacyReport3Digest = 0x8ac20444b6ad0206ull;
@@ -271,10 +271,9 @@ TEST(TraceBatch, ColumnMergeRebasesOffsets) {
   expect_views_match(merged, traces);
 }
 
-TEST(TraceBatch, PackAndStreamWritersMatchAosBytes) {
+TEST(TraceBatch, PackWriterMatchesLegacyBytes) {
   // The batch's columns ARE the pack sections; the writer must emit the
-  // bytes the heap-Trace writer produced for the same snapshot. (No stream
-  // writer remains; the name is kept so the test ID stays stable.)
+  // bytes the heap-Trace writer produced for the same snapshot.
   const dataset::SnapshotBatch snap = campaign_snapshot();
   ASSERT_EQ(snap.trace_count(), kLegacyTraces);
   EXPECT_EQ(digest(dataset::serialize_pack(snap)), kLegacyPackDigest);
@@ -419,7 +418,8 @@ TEST(BatchOracle, ReportsByteIdenticalToLegacyAcrossThreadCounts) {
   constexpr int kCycles = 3;
   for (const int threads : {1, 4, 16}) {
     run::Runner batched(small_runner(kCycles, threads));
-    EXPECT_EQ(digest(batched.run_all().to_json()), kLegacyReport3Digest)
+    EXPECT_EQ(digest(batched.run_all_contained().report.to_json()),
+              kLegacyReport3Digest)
         << "batch report diverged from legacy at threads=" << threads;
   }
 }
@@ -436,10 +436,9 @@ class BatchResumeTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// Acceptance: a run resumed from data shards reproduces the heap-Trace
-// path's report byte for byte. (Every shard is a pack; the name is kept so
-// the test ID stays stable.)
-TEST_F(BatchResumeTest, MixedFormatResumeMatchesLegacyReport) {
+// Acceptance: a run resumed from pack data shards reproduces the heap-Trace
+// path's report byte for byte.
+TEST_F(BatchResumeTest, PackShardResumeMatchesLegacyReport) {
   constexpr int kCycles = 4;
   auto config = small_runner(kCycles, /*threads=*/2);
   config.checkpoint_dir = dir_.string();

@@ -397,10 +397,15 @@ TEST(Containment, FailureBudgetAbortsTheRun) {
   EXPECT_GE(outcome.manifest.count(run::CycleOutcome::kSkipped), 1u);
 }
 
+// The clean contained run equals the rebuild oracle: every cycle
+// instantiated from scratch through Runner::run_cycle, in cycle order.
 TEST(Containment, CleanRunMatchesRunAllAcrossThreadCounts) {
   auto config = small_runner(3);
   run::Runner serial(config);
-  const auto baseline = serial.run_all();
+  lpr::LongitudinalReport baseline;
+  for (int cycle = config.first_cycle; cycle <= config.last_cycle; ++cycle) {
+    baseline.cycles.push_back(serial.run_cycle(cycle));
+  }
   const auto contained = serial.run_all_contained();
   EXPECT_TRUE(contained.manifest.complete());
   EXPECT_EQ(contained.report.to_json(), baseline.to_json());
@@ -473,8 +478,7 @@ TEST_F(ResumeTest, ResumedRunIsByteIdenticalAtAnyThreadCount) {
   EXPECT_EQ(restored.report.to_json(), full.report.to_json());
 }
 
-// (Every shard is a pack; the name is kept so the test ID stays stable.)
-TEST_F(ResumeTest, ResumeReingestsMixedFormatDataShards) {
+TEST_F(ResumeTest, ResumeReingestsPackDataShards) {
   constexpr int kCycles = 4;
   auto config = small_runner(kCycles, /*threads=*/2);
   config.checkpoint_dir = dir_.string();

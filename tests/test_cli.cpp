@@ -226,9 +226,7 @@ TEST_F(CliPipeline, StatsRejectsGarbageFile) {
   EXPECT_NE(out.find("not a warts-lite snapshot"), std::string::npos);
 }
 
-// (generate writes only packs; the name is kept so the test ID stays
-// stable.)
-TEST_F(CliPipeline, GenerateV3PackAndMixedFormatIngest) {
+TEST_F(CliPipeline, GeneratePackShardsFeedClassifyAndStats) {
   std::string out;
   ASSERT_EQ(run_cmd({"generate", "--out", dir_.string(), "--cycle", "50",
                      "--small", "--snapshots", "2"},
@@ -414,6 +412,43 @@ TEST_F(CliPipeline, CampaignDegradedExitCode) {
   EXPECT_NE(json.find("\"degraded\":true"), std::string::npos);
   EXPECT_NE(json.find("\"checkpoints_degraded\":true"), std::string::npos);
   EXPECT_NE(json.find("persistent enospc"), std::string::npos);
+}
+
+TEST_F(CliPipeline, CampaignUnwritableManifestExitsDegraded) {
+  // A directory holds manifest.json's name: the report is complete, but the
+  // run's record is lost — degraded-complete (4), never a silent 0.
+  const fs::path ckpt = dir_ / "ck_blocked";
+  const fs::path manifest = ckpt / "manifest.json";
+  fs::create_directories(manifest);
+  std::string out;
+  EXPECT_EQ(run_cmd({"campaign", "--small", "--cycles", "2", "--quiet",
+                     "--checkpoints", ckpt.string()},
+                    &out),
+            kExitDegraded)
+      << out;
+  EXPECT_NE(out.find("cannot write " + manifest.string()), std::string::npos)
+      << out;
+
+  // The telemetry file takes the same path: reported, degraded.
+  const fs::path telemetry = dir_ / "telemetry_dir";
+  fs::create_directories(telemetry);
+  EXPECT_EQ(run_cmd({"campaign", "--small", "--cycles", "1", "--quiet",
+                     "--telemetry=" + telemetry.string()},
+                    &out),
+            kExitDegraded)
+      << out;
+  EXPECT_NE(out.find("cannot write " + telemetry.string()), std::string::npos)
+      << out;
+
+  // An incomplete run keeps its own code: partial (2), not degraded.
+  EXPECT_EQ(run_cmd({"campaign", "--small", "--cycles", "2", "--quiet",
+                     "--keep-going", "--chaos", "fail=1", "--checkpoints",
+                     ckpt.string()},
+                    &out),
+            kExitPartial)
+      << out;
+  EXPECT_NE(out.find("cannot write " + manifest.string()), std::string::npos)
+      << out;
 }
 
 TEST_F(CliPipeline, CampaignSupervisionFlags) {

@@ -3,10 +3,10 @@
 //
 // The load-bearing property: a delta-evolved cycle is byte-identical to a
 // from-scratch `instantiate(cycle)` — at any thread count, from any starting
-// cycle, with every churn knob turned on. The full rebuild (`--evolve off`)
-// stays available as the oracle; these tests hold the two paths against each
-// other at every layer (arena, label pools, incremental SPF, evolver, runner,
-// resume).
+// cycle, with every churn knob turned on. The full rebuild stays available
+// as the oracle (`Internet::instantiate`, `Runner::run_cycle`); these tests
+// hold the two paths against each other at every layer (arena, label pools,
+// incremental SPF, evolver, runner, resume).
 #include "gen/evolve.h"
 
 #include <gtest/gtest.h>
@@ -367,27 +367,37 @@ TEST(DeltaEvolver, MonthDataMatchesFreshMonth) {
 
 // --- Runner-level parity ----------------------------------------------------
 
-run::RunnerConfig evolve_runner(int cycles, int threads, bool evolve) {
+run::RunnerConfig evolve_runner(int cycles, int threads) {
   run::RunnerConfig c;
   c.gen = churny_config();
   c.first_cycle = 0;
   c.last_cycle = cycles - 1;
   c.threads = threads;
-  c.evolve = evolve;
   return c;
 }
 
+// The rebuild oracle: every cycle instantiated from scratch through
+// Runner::run_cycle, in cycle order.
+lpr::LongitudinalReport rebuild_oracle(const run::Runner& runner) {
+  lpr::LongitudinalReport report;
+  for (int c = runner.config().first_cycle; c <= runner.config().last_cycle;
+       ++c) {
+    report.cycles.push_back(runner.run_cycle(c));
+  }
+  return report;
+}
+
 // Delta-vs-rebuild parity across seeds: the whole longitudinal report, not
-// just one snapshot, is byte-identical with `evolve` on and off.
+// just one snapshot, is byte-identical to per-cycle from-scratch rebuilds.
 TEST(EvolveRunner, ReportMatchesRebuildOracleAcrossSeeds) {
   for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{20151028}}) {
-    auto on = evolve_runner(/*cycles=*/6, /*threads=*/2, /*evolve=*/true);
-    auto off = evolve_runner(/*cycles=*/6, /*threads=*/2, /*evolve=*/false);
-    on.gen.seed = seed;
-    off.gen.seed = seed;
-    const auto evolved = run::Runner(on).run_all();
-    const auto rebuilt = run::Runner(off).run_all();
-    EXPECT_EQ(evolved.to_json(), rebuilt.to_json()) << "seed=" << seed;
+    auto config = evolve_runner(/*cycles=*/6, /*threads=*/2);
+    config.gen.seed = seed;
+    const run::Runner runner(config);
+    const auto evolved = runner.run_all_contained();
+    ASSERT_TRUE(evolved.manifest.complete()) << "seed=" << seed;
+    EXPECT_EQ(evolved.report.to_json(), rebuild_oracle(runner).to_json())
+        << "seed=" << seed;
   }
 }
 
@@ -395,20 +405,19 @@ TEST(EvolveRunner, ReportMatchesRebuildOracleAcrossSeeds) {
 // must not depend on how much the inner stages parallelize.
 TEST(EvolveRunner, ByteIdenticalAtAnyThreadCount) {
   const auto baseline =
-      run::Runner(evolve_runner(5, /*threads=*/1, /*evolve=*/true)).run_all();
-  const std::string expected = baseline.to_json();
+      run::Runner(evolve_runner(5, /*threads=*/1)).run_all_contained();
+  const std::string expected = baseline.report.to_json();
   for (const int threads : {4, 16}) {
     const auto got =
-        run::Runner(evolve_runner(5, threads, /*evolve=*/true)).run_all();
-    EXPECT_EQ(got.to_json(), expected) << "threads=" << threads;
+        run::Runner(evolve_runner(5, threads)).run_all_contained();
+    EXPECT_EQ(got.report.to_json(), expected) << "threads=" << threads;
   }
 }
 
 TEST(EvolveRunner, ManifestRecordsDeltaAccounting) {
-  auto config = evolve_runner(4, /*threads=*/1, /*evolve=*/true);
-  const auto outcome = run::Runner(config).run_all_contained();
+  const auto outcome =
+      run::Runner(evolve_runner(4, /*threads=*/1)).run_all_contained();
   ASSERT_EQ(outcome.manifest.cycles.size(), 4u);
-  EXPECT_TRUE(outcome.manifest.evolve);
   EXPECT_EQ(outcome.manifest.cycles[0].delta.cycle, 0);
   EXPECT_TRUE(outcome.manifest.cycles[0].delta.full_build);
   for (int c = 1; c < 4; ++c) {
@@ -416,13 +425,6 @@ TEST(EvolveRunner, ManifestRecordsDeltaAccounting) {
     EXPECT_EQ(delta.cycle, c);
     EXPECT_FALSE(delta.full_build) << "cycle " << c << " rebuilt from scratch";
     EXPECT_GT(delta.ases_total, 0u);
-  }
-
-  auto off = evolve_runner(2, /*threads=*/1, /*evolve=*/false);
-  const auto rebuilt = run::Runner(off).run_all_contained();
-  EXPECT_FALSE(rebuilt.manifest.evolve);
-  for (const run::CycleStatus& status : rebuilt.manifest.cycles) {
-    EXPECT_LT(status.delta.cycle, 0);  // no delta accounting off the evolver
   }
 }
 
@@ -446,7 +448,7 @@ class EvolveResumeTest : public ::testing::Test {
 // final report and (b) that the recomputed tail runs on an *evolved* world:
 // the first recomputed cycle is the only full build, every later one a delta.
 TEST_F(EvolveResumeTest, ResumeLandsOnEvolvedWorldByteIdentically) {
-  auto config = evolve_runner(/*cycles=*/8, /*threads=*/1, /*evolve=*/true);
+  auto config = evolve_runner(/*cycles=*/8, /*threads=*/1);
   config.checkpoint_dir = dir_.string();
   const auto uninterrupted = run::Runner(config).run_all_contained();
   ASSERT_TRUE(uninterrupted.manifest.complete());

@@ -414,7 +414,6 @@ TEST_F(SupervisionRun, ReportBytesImmuneToIoChaosAndThreads) {
   const auto baseline = run::Runner(tiny_runner(4)).run_all_contained();
   for (const int threads : {1, 4}) {
     auto config = tiny_runner(4, threads);
-    config.evolve = false;  // fan cycles across the pool
     config.checkpoint_dir =
         (dir_ / ("t" + std::to_string(threads))).string();
     config.checkpoint_data = true;
@@ -437,7 +436,22 @@ TEST_F(SupervisionRun, ReportBytesImmuneToIoChaosAndThreads) {
 
 // --- crash/resume torture -------------------------------------------------
 
-TEST_F(SupervisionRun, KillAtEveryIoOpResumesByteIdentical) {
+// The kill loop splits its kill points into kKillShards residue classes
+// (shard s runs every op k with k % kKillShards == s, in both phases), so
+// ctest -j runs the shards as separate processes; their union is every op.
+constexpr std::uint64_t kKillShards = 4;
+
+// How many k in [1, ops] fall in residue class `shard`.
+std::uint64_t residue_class_size(std::uint64_t ops, std::uint64_t shard) {
+  return ops / kKillShards +
+         (shard != 0 && shard <= ops % kKillShards ? 1 : 0);
+}
+
+class SupervisionKill : public SupervisionRun,
+                        public ::testing::WithParamInterface<std::uint64_t> {
+};
+
+TEST_P(SupervisionKill, KillAtEveryIoOpResumesByteIdentical) {
   // The crash-consistency claim, proven by exhaustion: for every I/O op K
   // in a checkpointed campaign, kill the run at op K (kDead mode: the op
   // tears like a real crash and everything after fails), then resume with
@@ -446,6 +460,7 @@ TEST_F(SupervisionRun, KillAtEveryIoOpResumesByteIdentical) {
   // first (writing) run and kills during a resume over a full directory.
   // Sized for the acceptance bar: 10 cycles x 6 shards x 3 ops + 3
   // checkpoint ops each = 210 write-phase ops, plus 10 resume-phase reads.
+  const std::uint64_t shard = GetParam();
   auto config = tiny_runner(10);
   config.campaign.extra_snapshots = 5;
   config.checkpoint_dir = dir_.string();
@@ -473,11 +488,14 @@ TEST_F(SupervisionRun, KillAtEveryIoOpResumesByteIdentical) {
   const std::uint64_t resume_ops = count_ops(resumer);
   ASSERT_GT(write_ops, 20u);
   ASSERT_GT(resume_ops, 5u);
+  // The acceptance bar, over all shards: a few hundred kill points.
+  ASSERT_GE(write_ops + resume_ops, 200u);
 
   std::uint64_t trials = 0;
   const auto torture = [&](const run::Runner& victim, std::uint64_t ops,
                            bool prepopulate) {
     for (std::uint64_t k = 1; k <= ops; ++k) {
+      if (k % kKillShards != shard) continue;
       fs::remove_all(dir_);
       if (prepopulate) writer.run_all_contained();
       FaultConfig config;
@@ -498,10 +516,13 @@ TEST_F(SupervisionRun, KillAtEveryIoOpResumesByteIdentical) {
   };
   torture(writer, write_ops, /*prepopulate=*/false);
   torture(resumer, resume_ops, /*prepopulate=*/true);
-  // The acceptance bar: a few hundred sampled kill points.
-  EXPECT_GE(trials, 200u) << "write_ops=" << write_ops
-                          << " resume_ops=" << resume_ops;
+  EXPECT_EQ(trials, residue_class_size(write_ops, shard) +
+                        residue_class_size(resume_ops, shard))
+      << "write_ops=" << write_ops << " resume_ops=" << resume_ops;
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, SupervisionKill,
+                         ::testing::Range<std::uint64_t>(0, kKillShards));
 
 // --- mixed-failure resume -------------------------------------------------
 
@@ -547,7 +568,6 @@ TEST_F(SupervisionRun, MixedFailureResumeByteIdenticalAcrossThreads) {
     const fs::path dir = dir_ / ("resume_t" + std::to_string(threads));
     damage(dir);
     auto config = tiny_runner(kCycles, threads);
-    config.evolve = false;
     config.checkpoint_dir = dir.string();
     config.checkpoint_data = true;
     config.resume = true;

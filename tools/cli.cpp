@@ -582,7 +582,6 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
   const auto resume_dir = args.take_value("--resume");
   const auto telemetry = args.take_eq_flag("--telemetry");
   const auto trace_out = args.take_value("--trace-out");
-  const auto evolve_spec = args.take_value("--evolve");
   const auto scale_spec = args.take_value("--scale");
   const auto churn_spec = args.take_value("--churn");
   if (!args.ok()) {
@@ -613,16 +612,6 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
 
   run::RunnerConfig config;
   config.gen.seed = static_cast<std::uint64_t>(seed);
-  if (evolve_spec) {
-    if (*evolve_spec == "on") {
-      config.evolve = true;
-    } else if (*evolve_spec == "off") {
-      config.evolve = false;
-    } else {
-      err << "--evolve must be on or off, got '" << *evolve_spec << "'\n";
-      return kExitUsage;
-    }
-  }
   if (scale_spec) {
     std::string error;
     if (!parse_scale_spec(*scale_spec, config.gen, &error)) {
@@ -705,23 +694,25 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
   } else {
     outcome.report.to_table(out);
   }
+  // The manifest and telemetry files are operational record: a failed
+  // write never changes a report byte, but it degrades a complete run.
+  bool record_lost = false;
+  const auto write_record = [&](const std::string& path,
+                                const std::string& text) {
+    if (util::io::env().write_file(path, text + '\n')) return;
+    err << "cannot write " << path << '\n';
+    record_lost = true;
+  };
   if (!config.checkpoint_dir.empty()) {
-    const fs::path manifest_file =
-        fs::path(config.checkpoint_dir) / "manifest.json";
-    std::ofstream ms(manifest_file);
-    ms << outcome.manifest.to_json() << '\n';
+    write_record((fs::path(config.checkpoint_dir) / "manifest.json").string(),
+                 outcome.manifest.to_json());
   }
   if (telemetry) {
     // Registry snapshot at end of run: to the named file, or to the err
     // stream when the flag is bare (stdout stays machine-parsed report).
     const std::string snapshot = obs::registry().to_json();
     if (*telemetry) {
-      std::ofstream ts(**telemetry);
-      if (!ts) {
-        err << "cannot write " << **telemetry << '\n';
-        return kExitFatal;
-      }
-      ts << snapshot << '\n';
+      write_record(**telemetry, snapshot);
     } else {
       err << snapshot << '\n';
     }
@@ -762,7 +753,7 @@ int run_campaign(Args& args, std::ostream& out, std::ostream& err) {
   // (5) never attempted some cycles; a partial run (2) attempted everything
   // but contained failures.
   if (manifest.complete()) {
-    return manifest.degraded() ? kExitDegraded : kExitOk;
+    return manifest.degraded() || record_lost ? kExitDegraded : kExitOk;
   }
   return manifest.count(run::CycleOutcome::kSkipped) > 0 ? kExitAborted
                                                          : kExitPartial;
@@ -791,7 +782,7 @@ std::string usage() {
       "  stats     SNAP [SNAP...] [--tolerant | --strict]\n"
       "                           dataset-level statistics\n"
       "  campaign  [--cycles N] [--seed S] [--small] [--threads N]\n"
-      "            [--evolve on|off] [--scale routers=N[,lsps=M]]\n"
+      "            [--scale routers=N[,lsps=M]]\n"
       "            [--churn link=P,metric=P,router=P,resignal=P]\n"
       "            [--chaos SPEC] [--keep-going] [--failure-budget N]\n"
       "            [--retry N] [--cycle-deadline MS]\n"
@@ -817,11 +808,10 @@ std::string usage() {
       "and shards are moved to <dir>/quarantine/, never deleted.\n"
       "--threads 0 (the default) uses one thread per hardware thread; any\n"
       "value produces identical output (deterministic parallelism).\n"
-      "--evolve on (the default) advances one standing world cycle to cycle\n"
-      "(delta evolution); off rebuilds each cycle from scratch. Reports are\n"
-      "byte-identical either way. --scale sizes the world (k/m suffixes:\n"
-      "routers=100k,lsps=1m); --churn adds per-cycle topology/label deltas\n"
-      "as probabilities (e.g. link=0.02,resignal=0.1).\n"
+      "A campaign advances one standing world cycle to cycle (delta\n"
+      "evolution). --scale sizes the world (k/m suffixes: routers=100k,\n"
+      "lsps=1m); --churn adds per-cycle topology/label deltas as\n"
+      "probabilities (e.g. link=0.02,resignal=0.1).\n"
       "--quiet silences progress, --verbose adds per-cycle detail (both on\n"
       "stderr). --telemetry dumps the metrics registry at end of run (to\n"
       "stderr, or FILE with =FILE); --trace-out writes a JSONL event log.\n"
@@ -829,7 +819,8 @@ std::string usage() {
       "\n"
       "exit codes: 0 success, 1 usage error, 2 partial run (contained\n"
       "failures), 3 fatal (I/O or undecodable input), 4 degraded-complete\n"
-      "(report complete; persistence degraded or state quarantined),\n"
+      "(report complete; persistence degraded, state quarantined, or the\n"
+      "manifest/telemetry file unwritable),\n"
       "5 aborted (failure policy stopped the run; cycles were skipped).\n";
 }
 
