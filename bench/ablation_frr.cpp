@@ -85,7 +85,7 @@ ArmResult run_arm(bool frr, int failure_rounds) {
       topo::RouterId at = lsp.ingress;
       for (std::size_t guard = topo.router_count() + 4;
            at != lsp.egress && guard > 0; --guard) {
-        const auto& nhs = igp_now.rib(at).nexthops(lsp.egress);
+        const auto nhs = igp_now.nexthops(at, lsp.egress);
         if (nhs.empty()) {
           route.clear();
           break;

@@ -14,7 +14,7 @@
 // which is what delta evolution elides (the paper's "nothing has changed
 // between Cycle 28 and Cycle 29" case). The *Churn variants measure the same
 // step with every churn knob on — reported for the scaling curve, ungated,
-// since then both arms are dominated by the shared reconvergence work.
+// since then both arms are dominated by the shared SPF and re-signalling work.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -52,7 +52,7 @@ const World& world(std::int64_t routers, bool churn) {
   config.scale_routers = static_cast<std::uint64_t>(routers);
   config.scale_lsps = static_cast<std::uint64_t>(routers) * 10;
   // The gated arms turn intra-month maintenance failures off: apply_flaps'
-  // failure reconvergence runs identically in BOTH arms (it is per-snapshot
+  // failure routing runs identically in BOTH arms (it is per-snapshot
   // state, not per-cycle state) and at the default rates it dominates the
   // step, hiding the build cost delta evolution removes. The churn variant
   // keeps them on — the realistic, ungated number.

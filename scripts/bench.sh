@@ -32,7 +32,7 @@
 #
 # The PR4 baselines were measured at commit 72d59fb (before the flat-RIB /
 # one-pass SPF rewrite) on the AT&T case-study shape (74 routers, 217 links,
-# Rng(4)) with the same timer loop BM_IgpCompute/BM_IgpReconverge use:
+# Rng(4)) with the same timer loop BM_IgpCompute/BM_IgpLinkDown use:
 #   compute    (all-pairs ECMP SPF): 2002143 ns/iter
 #   reconverge (2 links down, was a full recompute): 1971482 ns/iter
 #

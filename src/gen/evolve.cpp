@@ -14,7 +14,14 @@ MonthContext& DeltaEvolver::evolve_to(int cycle, int day_of_month) {
     full_build(cycle, day_of_month);
     return *ctx_;
   }
-  if (cycle == ctx_->cycle() && day_of_month == day_) return *ctx_;
+  // A same-cycle call returns the standing context only while nothing has
+  // probed it since it was settled. Once a month ran on it (flaps for the
+  // extra snapshots, label dynamics), a retried cycle must not see that
+  // half-mutated month: re-stepping is a pristine rollback plus no-op
+  // deltas, which lands on exactly the state of a fresh instantiate.
+  if (cycle == ctx_->cycle() && day_of_month == day_ && !ctx_->mutated_) {
+    return *ctx_;
+  }
   try {
     step_to(cycle, day_of_month);
   } catch (...) {
@@ -26,6 +33,7 @@ MonthContext& DeltaEvolver::evolve_to(int cycle, int day_of_month) {
 
 void DeltaEvolver::full_build(int cycle, int day_of_month) {
   ctx_.emplace(internet_->instantiate(cycle, day_of_month, pool_));
+  ctx_->mutated_ = false;
   day_ = day_of_month;
   poisoned_ = false;
   stats_ = CycleDeltaStats{};
@@ -39,6 +47,9 @@ void DeltaEvolver::full_build(int cycle, int day_of_month) {
 void DeltaEvolver::step_to(int cycle, int day_of_month) {
   MonthContext& ctx = *ctx_;
   const GenConfig& config = internet_->config();
+  static obs::Counter& rows =
+      obs::registry().counter("igp.spf_rows_computed");
+  const std::uint64_t rows_before = rows.value();
 
   stats_ = CycleDeltaStats{};
   stats_.cycle = cycle;
@@ -73,16 +84,11 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
       if (overlay.trivial()) {
         planes->igp_cycle.reset();  // back on the time-invariant base IGP
       } else {
-        // Incremental SPF from the previous cycle's converged state: only
-        // sources whose routing the overlay diff can affect are re-run.
-        igp::IgpState::ReconvergeStats rs;
-        igp::IgpState next = igp::IgpState::reconverge_delta(
-            as.topo, planes->cycle_igp(as), planes->overlay, overlay, pool_,
-            &rs);
-        planes->igp_cycle = std::move(next);
-        st.spf_sources_total += rs.sources_total;
-        st.spf_sources_recomputed += rs.sources_recomputed;
+        // A fresh lazy state: only the rows the TE re-signalling and the
+        // month's routes ask for are ever computed.
+        planes->igp_cycle = igp::IgpState::compute(as.topo, nullptr, &overlay);
       }
+      st.spf_sources_total += as.topo.router_count();
       planes->overlay = std::move(overlay);
     }
     for (const bool d : planes->overlay.down) st.links_down += d ? 1 : 0;
@@ -94,7 +100,7 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
     planes->label_epoch = epoch;
 
     if (ldp_structural_changed(planes->profile, profile)) {
-      internet_->build_as_planes(asn, as, profile, *planes, pool_);
+      internet_->build_as_planes(asn, as, profile, *planes);
       ++st.ases_rebuilt;
       if (planes->rsvp) st.lsps_signalled += planes->rsvp->lsp_count();
     } else if (overlay_changed || epoch_changed ||
@@ -117,12 +123,13 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
     stats_.links_down += st.links_down;
     stats_.links_cost_changed += st.links_cost_changed;
     stats_.spf_sources_total += st.spf_sources_total;
-    stats_.spf_sources_recomputed += st.spf_sources_recomputed;
     stats_.lsps_signalled += st.lsps_signalled;
   }
 
   ctx.apply_flaps(/*sub_index=*/0, config.ecmp_flap_prob);
+  ctx.mutated_ = false;
   day_ = day_of_month;
+  stats_.spf_sources_recomputed = rows.value() - rows_before;
 
   obs::registry().counter("evolve.delta_steps").add(1);
   obs::registry().counter("evolve.ases_restored").add(stats_.ases_restored);

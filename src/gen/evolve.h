@@ -6,9 +6,11 @@
 // (the paper on AS3356: "nothing has changed [infrastructurally] between
 // Cycle 28 and Cycle 29"). The DeltaEvolver keeps ONE standing MonthContext
 // and advances it: per-cycle churn (link/metric/router deltas, TE
-// re-signalling epochs) routes through incremental SPF
-// (igp::IgpState::reconverge_delta) and TE-only re-signalling; untouched ASes
-// are merely rolled back to their pristine start-of-month state.
+// re-signalling epochs) swaps in a fresh lazy IGP state for the ASes whose
+// overlay changed (igp/spf.h: it computes only the SPF rows the TE
+// re-signalling and the month's routes ask for) and re-signals their TE
+// mesh; untouched ASes are merely rolled back to their pristine
+// start-of-month state.
 //
 // Determinism contract (the oracle property, enforced by tests/test_evolve):
 // every per-cycle delta is a pure function of (seed, asn, cycle), so a
@@ -37,7 +39,7 @@ struct CycleDeltaStats {
   std::size_t links_down = 0;          // overlay down links, all ASes
   std::size_t links_cost_changed = 0;  // overlay metric overrides, all ASes
   std::size_t spf_sources_total = 0;       // routers of overlay-changed ASes
-  std::size_t spf_sources_recomputed = 0;  // sources the delta SPF re-ran
+  std::size_t spf_sources_recomputed = 0;  // SPF rows computed by the step
   std::size_t lsps_signalled = 0;  // TE LSPs signed by rebuilt/re-signed ASes
 };
 
@@ -53,7 +55,10 @@ class DeltaEvolver {
   // current cycle applies deltas; the first call, a backward jump, or a
   // recovery after a failed step falls back to a full instantiate. Gaps are
   // fine: intermediate cycles' deltas replay in order (each cycle's state
-  // is a pure function of (seed, cycle), not of the visit sequence).
+  // is a pure function of (seed, cycle), not of the visit sequence). Asking
+  // again for the cycle it holds returns the context as is while nothing
+  // has probed it since; after a month ran on it (a retried cycle), the
+  // cycle is re-stepped, so the caller always gets the fresh month.
   MonthContext& evolve_to(int cycle, int day_of_month = 1);
 
   const MonthContext* context() const noexcept {

@@ -72,7 +72,7 @@ std::vector<topo::LinkId> route_on(const igp::IgpState& igp,
   topo::RouterId at = ingress;
   for (std::size_t guard = router_count + 4; at != egress; --guard) {
     if (guard == 0) return {};
-    const auto& nhs = igp.rib(at).nexthops(egress);
+    const auto nhs = igp.nexthops(at, egress);
     if (nhs.empty()) return {};
     route.push_back(nhs.front().link);
     at = nhs.front().neighbor;
@@ -116,7 +116,7 @@ void MonthContext::set_day(int day_of_month) {
     const ProfileSnapshot profile =
         profile_at(asn, as->shape, cycle_, day_of_month);
     if (ldp_structural_changed(planes->profile, profile)) {
-      internet_->build_as_planes(asn, *as, profile, *planes, pool_);
+      internet_->build_as_planes(asn, *as, profile, *planes);
     } else if (te_structural_changed(planes->profile, profile)) {
       internet_->build_te_planes(asn, *as, profile, *planes);
     } else {
@@ -128,6 +128,7 @@ void MonthContext::set_day(int day_of_month) {
 
 void MonthContext::apply_flaps(int sub_index, double flap_prob) {
   const GenConfig& config = internet_->config();
+  mutated_ = true;
   for (auto& [asn, planes] : planes_) {
     const ModeledAs* as = internet_->modeled(asn);
 
@@ -145,10 +146,10 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob) {
                      : base;
     }
 
-    // --- link failures + IGP reconvergence ------------------------------
+    // --- link failures + IGP convergence --------------------------------
     // The month's failures layer on top of this cycle's persistent link
-    // overlay: the reconvergence baseline is the overlay-converged state
-    // and the down mask is the union of both layers.
+    // overlay: the post-failure state keeps the overlay's costs and its
+    // down mask is the union of both layers.
     const igp::IgpState& cycle_base = planes->cycle_igp(*as);
     const igp::LinkOverlay* overlay =
         planes->overlay.down.empty() && planes->overlay.cost.empty()
@@ -180,14 +181,16 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob) {
       }
     }
     if (any_down) {
-      // Incremental reconvergence: only sources whose shortest-path DAG
-      // crosses a downed link are recomputed; the rest reuse the base RIB.
-      planes->igp_now = igp::IgpState::reconverge(as->topo, cycle_base, down,
-                                                  pool_, nullptr, overlay);
+      // The cycle snapshot applies sub 0 twice (evolution, then probing):
+      // keep the standing state, and the rows it already computed, when the
+      // down mask is unchanged. restore_pristine() resets it every cycle.
+      if (!planes->igp_now || planes->igp_now->link_down() != down) {
+        planes->igp_now = igp::IgpState::compute(as->topo, &down, overlay);
+      }
       planes->plane.igp = &*planes->igp_now;
-      // RSVP-TE reconverges too. With fast reroute, a broken LSP switches
-      // to its pre-signalled backup (labels stable); otherwise it is
-      // re-signalled over the post-failure route with fresh labels.
+      // RSVP-TE follows the failures too. With fast reroute, a broken LSP
+      // switches to its pre-signalled backup (labels stable); otherwise it
+      // is re-signalled over the post-failure route with fresh labels.
       if (planes->rsvp) {
         for (const mpls::TeLsp& lsp : planes->rsvp->lsps()) {
           if (!planes->rsvp->crosses_down_link(lsp.id, down)) continue;
@@ -208,6 +211,7 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob) {
 
 void MonthContext::advance_dynamics(util::Rng& rng) {
   (void)rng;
+  mutated_ = true;
   for (auto& [asn, planes] : planes_) {
     if (!planes->rsvp) continue;
     const ModeledAs* as = internet_->modeled(asn);
@@ -224,10 +228,10 @@ void MonthContext::advance_dynamics(util::Rng& rng) {
 // Internet construction
 // ---------------------------------------------------------------------
 
-Internet::Internet(const GenConfig& config, util::ThreadPool* pool)
+Internet::Internet(const GenConfig& config, util::ThreadPool* /*pool*/)
     : config_(config) {
   if (config_.scale_routers > 0) {
-    // Scale the AS count, not the AS size: per-AS IGP state is O(n^2), so
+    // Scale the AS count, not the AS size: per-AS LDP state is O(n^2), so
     // internet-scale worlds are many ~256-router transit networks.
     constexpr std::uint64_t kScaleAsRouters = 256;
     const auto want = static_cast<int>(
@@ -236,7 +240,7 @@ Internet::Internet(const GenConfig& config, util::ThreadPool* pool)
   }
   util::Rng rng(config.seed);
   build_graph(rng);
-  build_topologies(rng, pool);
+  build_topologies(rng);
   place_monitors_and_destinations(rng);
 }
 
@@ -354,7 +358,7 @@ void Internet::build_graph(util::Rng& rng_in) {
   for (const std::uint32_t asn : tier1) ensure_stub_customers(asn, 3);
 }
 
-void Internet::build_topologies(util::Rng& rng_in, util::ThreadPool* pool) {
+void Internet::build_topologies(util::Rng& rng_in) {
   int background_index = 0;
   for (const std::uint32_t asn : graph_.asns()) {
     const AsNode& node = graph_.as_node(asn);
@@ -392,7 +396,7 @@ void Internet::build_topologies(util::Rng& rng_in, util::ThreadPool* pool) {
     shape.topo.router_response_prob = config_.router_response_prob;
 
     topo::AsTopology topo = topo::build_as_topology(shape.topo, rng);
-    igp::IgpState igp = igp::IgpState::compute(topo, nullptr, pool);
+    igp::IgpState igp = igp::IgpState::compute(topo);
     auto modeled =
         std::make_unique<ModeledAs>(std::move(shape), std::move(topo),
                                     std::move(igp));
@@ -754,9 +758,7 @@ void Internet::apply_profile_scalars(const ProfileSnapshot& profile,
 
 void Internet::build_as_planes(std::uint32_t asn, const ModeledAs& modeled,
                                const ProfileSnapshot& profile,
-                               AsPlanes& planes,
-                               util::ThreadPool* pool) const {
-  (void)pool;  // per-AS work runs single-threaded under the AS-level fan-out
+                               AsPlanes& planes) const {
   const igp::IgpState& cycle_igp = planes.cycle_igp(modeled);
 
   planes.pools.clear();
@@ -839,10 +841,9 @@ MonthContext Internet::instantiate(int cycle, int day_of_month,
   MonthContext ctx;
   ctx.cycle_ = cycle;
   ctx.internet_ = this;
-  ctx.pool_ = pool;
   ctx.month_seed_ = util::hash_combine(config_.seed, 0xC1C7Eull + cycle);
 
-  // Per-AS builds are independent: fan out across ASes and assemble the
+  // Per-AS builds are independent: fan out across ASes and collect the
   // ordered plane map serially, so the result is thread-count invariant.
   std::vector<std::uint32_t> asns;
   asns.reserve(modeled_.size());
@@ -855,13 +856,11 @@ MonthContext Internet::instantiate(int cycle, int day_of_month,
     planes->overlay = overlay_at(as, asn, cycle);
     planes->label_epoch = label_epoch_at(asn, cycle);
     if (!planes->overlay.trivial()) {
-      // Nested parallel_for runs inline inside a pool worker, so this SPF
-      // is effectively single-threaded here; AS-level fan-out saturates.
-      planes->igp_cycle = igp::IgpState::compute(as.topo, nullptr, pool,
-                                                 &planes->overlay);
+      planes->igp_cycle =
+          igp::IgpState::compute(as.topo, nullptr, &planes->overlay);
     }
     build_as_planes(asn, as, profile_at(asn, as.shape, cycle, day_of_month),
-                    *planes, pool);
+                    *planes);
     built[i] = std::move(planes);
   });
   for (std::size_t i = 0; i < asns.size(); ++i) {

@@ -6,6 +6,9 @@
 // [infrastructurally] between Cycle 28 and Cycle 29 ... only the usage ...
 // has been modified"). Per month, `instantiate()` materializes label pools,
 // LDP/RSVP planes and data-plane configs from each AS's profile snapshot.
+// IGP state is egress-rooted and lazy (igp/spf.h): standing up an AS, a
+// cycle overlay or a snapshot's link failures computes no SPF row; rows are
+// computed for the destinations routes and LSPs actually ask for.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +52,7 @@ struct GenConfig {
   double ecmp_flap_prob = 0.08;
   // Probability that an AS undergoes maintenance in a given month; inside a
   // maintenance month, each link fails with `link_fail_prob`, going down at
-  // a random snapshot and staying down. The IGP reconverges around the
+  // a random snapshot and staying down. The IGP converges around the
   // failure (per-snapshot SPF) and affected RSVP-TE LSPs are re-signalled —
   // this is the "routing changes during the measurement" noise the
   // Persistence filter exists to remove (paper Sec. 3.1).
@@ -127,7 +130,8 @@ struct AsPlanes {
   std::unique_ptr<mpls::RsvpTePlane> rsvp;
   // IGP state after this snapshot's link failures (unset => no failures,
   // plane.igp points at the cycle-converged state below, or the ModeledAs
-  // base state when this cycle's overlay is trivial).
+  // base state when this cycle's overlay is trivial). apply_flaps keeps it,
+  // with its computed rows, while its down mask is unchanged.
   std::optional<igp::IgpState> igp_now;
   probe::AsDataPlane plane;  // pointers reference ModeledAs + this struct
 
@@ -190,17 +194,18 @@ class MonthContext {
   friend class DeltaEvolver;
   int cycle_ = 0;
   std::uint64_t month_seed_ = 0;
+  // Set by apply_flaps / advance_dynamics: the month has been probed (or
+  // stepped) since the DeltaEvolver last settled it.
+  bool mutated_ = false;
   std::map<std::uint32_t, std::unique_ptr<AsPlanes>> planes_;
   const Internet* internet_ = nullptr;
-  // Pool for per-source SPF parallelism inside reconvergence (nullable).
-  util::ThreadPool* pool_ = nullptr;
 };
 
 class Internet {
  public:
-  // When `pool` is given, the per-AS IGP all-pairs SPF runs its sources in
-  // parallel during construction; the built state is byte-identical either
-  // way (per-source rows merge in index order).
+  // Builds every AS's topology and its base IGP state, which computes no
+  // SPF row until a route asks for one. `pool` is accepted so callers can
+  // hand one pool to every layer; construction itself runs serially.
   explicit Internet(const GenConfig& config,
                     util::ThreadPool* pool = nullptr);
 
@@ -219,8 +224,8 @@ class Internet {
   dataset::Ip2As build_ip2as() const;
 
   // Materialize control planes for (cycle, day-of-month). `pool`, when
-  // given, parallelizes the IGP reconvergence SPFs triggered by link
-  // failures (output identical at any thread count).
+  // given, fans the per-AS builds out (output identical at any thread
+  // count).
   MonthContext instantiate(int cycle, int day_of_month = 1,
                            util::ThreadPool* pool = nullptr) const;
 
@@ -261,7 +266,7 @@ class Internet {
   friend class DeltaEvolver;
 
   void build_graph(util::Rng& rng);
-  void build_topologies(util::Rng& rng, util::ThreadPool* pool);
+  void build_topologies(util::Rng& rng);
   void place_monitors_and_destinations(util::Rng& rng);
 
   // Full per-AS control-plane build for `profile`: pools (with the epoch
@@ -269,8 +274,8 @@ class Internet {
   // and the pristine snapshots. Expects planes.overlay / planes.igp_cycle /
   // planes.label_epoch already set for the target cycle.
   void build_as_planes(std::uint32_t asn, const ModeledAs& as,
-                       const ProfileSnapshot& profile, AsPlanes& planes,
-                       util::ThreadPool* pool) const;
+                       const ProfileSnapshot& profile,
+                       AsPlanes& planes) const;
   // TE-only rebuild: rewinds pools to the post-LDP snapshot, replays the
   // epoch burn, and re-signals the RSVP-TE plane; the LDP plane and its
   // label content are untouched.

@@ -1,28 +1,16 @@
 #include "igp/spf.h"
 
 #include <algorithm>
-#include <bit>
+#include <memory>
+#include <new>
 #include <queue>
 
 #include "obs/stage.h"
 #include "obs/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace mum::igp {
 
-// Per-source result: distances plus the next hops concatenated in ascending
-// destination order (local offsets nh_begin, size n+1). Rows are assembled
-// into the flat IgpState arrays in source order, so parallel computation
-// yields byte-identical state.
-struct detail::SourceRow {
-  std::vector<std::uint32_t> dist;
-  std::vector<std::uint32_t> nh_begin;
-  std::vector<NextHop> nh;
-};
-
 namespace {
-
-using detail::SourceRow;
 
 struct QueueItem {
   std::uint32_t dist;
@@ -38,17 +26,17 @@ struct QueueItem {
 // bucket ring would outgrow its benefit and we fall back to a binary heap.
 inline constexpr std::uint32_t kMaxDialCost = 4096;
 
+bool is_down(const std::vector<bool>& down, topo::LinkId l) {
+  return !down.empty() && down[l];
+}
+
 // Dijkstra via dial queue. Preconditions: 1 <= every arc cost <= max_cost.
-// Appends routers to `order` in settle order. Tie order within one distance
-// differs from the heap's, which is unobservable: with positive costs no
-// equal-distance router can be another's predecessor, so the first-hop
-// sweep reads identical masks either way.
+// Worker scratch is thread_local: reused across rows, never across threads.
 void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
-                   const std::vector<bool>* link_down, std::uint32_t max_cost,
-                   std::vector<std::uint32_t>& dist,
-                   std::vector<topo::RouterId>& order) {
-  const std::uint32_t ring = max_cost + 1;
-  std::vector<std::vector<topo::RouterId>> buckets(ring);
+                   const std::vector<bool>& down, std::uint32_t* dist) {
+  const std::uint32_t ring = csr.max_cost() + 1;
+  thread_local std::vector<std::vector<topo::RouterId>> buckets;
+  if (buckets.size() < ring) buckets.resize(ring);  // drained when done
   dist[src] = 0;
   buckets[0].push_back(src);
   std::size_t pending = 1;
@@ -62,9 +50,8 @@ void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
       bucket.pop_back();
       --pending;
       if (dist[u] != cur) continue;  // stale entry, improved meanwhile
-      order.push_back(u);
       for (const topo::CsrArc& arc : csr.out(u)) {
-        if (link_down != nullptr && (*link_down)[arc.link]) continue;
+        if (is_down(down, arc.link)) continue;
         const std::uint32_t nd = cur + arc.cost;
         if (nd < dist[arc.to]) {
           dist[arc.to] = nd;
@@ -78,9 +65,7 @@ void dijkstra_dial(const topo::CsrAdjacency& csr, topo::RouterId src,
 }
 
 void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
-                   const std::vector<bool>* link_down,
-                   std::vector<std::uint32_t>& dist,
-                   std::vector<topo::RouterId>& order) {
+                   const std::vector<bool>& down, std::uint32_t* dist) {
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> pq;
   dist[src] = 0;
   pq.push({0, src});
@@ -88,9 +73,8 @@ void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
     const auto [d, u] = pq.top();
     pq.pop();
     if (d > dist[u]) continue;  // stale entry
-    order.push_back(u);
     for (const topo::CsrArc& arc : csr.out(u)) {
-      if (link_down != nullptr && (*link_down)[arc.link]) continue;
+      if (is_down(down, arc.link)) continue;
       const std::uint32_t nd = d + arc.cost;
       if (nd < dist[arc.to]) {
         dist[arc.to] = nd;
@@ -100,424 +84,135 @@ void dijkstra_heap(const topo::CsrAdjacency& csr, topo::RouterId src,
   }
 }
 
-// Dijkstra from `src` over the CSR snapshot, then one distance-ordered sweep
-// over the shortest-path predecessor DAG that propagates the set of usable
-// first-hop links as a bitmask over `src`'s incident arcs. deg(src) <= 64
-// uses a single word per router; wider sources fall back to a multi-word
-// bitset. Bits decode in ascending position = ascending link id, matching
-// the sorted order the old per-destination reverse BFS produced.
-SourceRow spf_source(const topo::CsrAdjacency& csr, topo::RouterId src,
-                     const std::vector<bool>* link_down) {
-  const std::size_t n = csr.router_count();
-  SourceRow row;
-  row.dist.assign(n, kUnreachable);
-
-  const std::span<const topo::CsrArc> src_arcs = csr.out(src);
-  const std::size_t deg = src_arcs.size();
-
-  // Bit index of a link incident to src (arcs are in ascending link order).
-  const auto src_bit = [&src_arcs](topo::LinkId lid) {
-    const auto it = std::lower_bound(
-        src_arcs.begin(), src_arcs.end(), lid,
-        [](const topo::CsrArc& a, topo::LinkId l) { return a.link < l; });
-    return static_cast<std::size_t>(it - src_arcs.begin());
-  };
-
-  row.nh_begin.assign(n + 1, 0);
-  row.nh.reserve(n + n / 2);
-
-  const auto decode_word = [&](std::uint64_t word, std::size_t base) {
-    while (word != 0) {
-      const std::size_t bit =
-          base + static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      row.nh.push_back(NextHop{src_arcs[bit].link, src_arcs[bit].to});
-    }
-  };
-
-  const bool dial_ok =
-      csr.max_cost() >= 1 && csr.max_cost() <= kMaxDialCost;
-
-  if (deg <= 64 && dial_ok) {
-    // Fast path: dial-queue Dijkstra with the first-hop masks (one u64 per
-    // router) computed inline at settle time. When `u` settles at distance
-    // `cur`, every tight predecessor has final distance < cur (costs >= 1)
-    // and was settled — and had its mask finalized — in an earlier bucket,
-    // so one pass over u's arcs both collects the mask and relaxes. Worker
-    // scratch is thread_local: reused across sources, never across threads.
-    const std::uint32_t ring = csr.max_cost() + 1;
-    thread_local std::vector<std::uint64_t> fh;
-    thread_local std::vector<std::vector<topo::RouterId>> buckets;
-    fh.assign(n, 0);
-    if (buckets.size() < ring) buckets.resize(ring);  // drained when done
-
-    std::uint32_t* dist = row.dist.data();
-    dist[src] = 0;
-    buckets[0].push_back(src);
-    std::size_t pending = 1;
-    std::uint32_t cur = 0;
-    while (pending > 0) {
-      std::vector<topo::RouterId>& bucket = buckets[cur % ring];
-      // Relaxations from `cur` land in (cur, cur + max_cost], never back
-      // into this bucket, so draining it is safe.
-      while (!bucket.empty()) {
-        const topo::RouterId u = bucket.back();
-        bucket.pop_back();
-        --pending;
-        if (dist[u] != cur) continue;  // stale entry, improved meanwhile
-        std::uint64_t mask = 0;
-        for (const topo::CsrArc& arc : csr.out(u)) {
-          if (link_down != nullptr && (*link_down)[arc.link]) continue;
-          const std::uint32_t dto = dist[arc.to];
-          const std::uint32_t nd = cur + arc.cost;
-          if (nd < dto) {
-            dist[arc.to] = nd;
-            buckets[nd % ring].push_back(arc.to);
-            ++pending;
-          } else if (dto != kUnreachable && dto + arc.cost == cur) {
-            mask |= arc.to == src
-                        ? (std::uint64_t{1} << src_bit(arc.link))
-                        : fh[arc.to];
-          }
-        }
-        if (u != src) fh[u] = mask;
-      }
-      ++cur;
-    }
-    for (topo::RouterId dst = 0; dst < n; ++dst) {
-      row.nh_begin[dst] = static_cast<std::uint32_t>(row.nh.size());
-      if (dst != src) decode_word(fh[dst], 0);
-    }
-    row.nh_begin[n] = static_cast<std::uint32_t>(row.nh.size());
-    return row;
-  }
-
-  // General path: settle order first (routers in nondecreasing final
-  // distance; with positive costs every tight predecessor settles strictly
-  // earlier), then a forward sweep propagating predecessor masks.
-  std::vector<topo::RouterId> order;
-  order.reserve(n);
-  if (dial_ok) {
-    dijkstra_dial(csr, src, link_down, csr.max_cost(), row.dist, order);
-  } else {
-    dijkstra_heap(csr, src, link_down, row.dist, order);
-  }
-
-  if (deg <= 64) {
-    // One u64 of first-hop links per router.
-    std::vector<std::uint64_t> fh(n, 0);
-    for (const topo::RouterId v : order) {
-      if (v == src) continue;
-      std::uint64_t mask = 0;
-      for (const topo::CsrArc& arc : csr.out(v)) {
-        if (link_down != nullptr && (*link_down)[arc.link]) continue;
-        const std::uint32_t du = row.dist[arc.to];
-        if (du == kUnreachable || du + arc.cost != row.dist[v]) continue;
-        mask |= arc.to == src ? (std::uint64_t{1} << src_bit(arc.link))
-                              : fh[arc.to];
-      }
-      fh[v] = mask;
-    }
-    for (topo::RouterId dst = 0; dst < n; ++dst) {
-      row.nh_begin[dst] = static_cast<std::uint32_t>(row.nh.size());
-      if (dst != src) decode_word(fh[dst], 0);
-    }
-  } else {
-    // Wide source: multi-word bitset per router, same sweep.
-    const std::size_t words = (deg + 63) / 64;
-    std::vector<std::uint64_t> fh(n * words, 0);
-    for (const topo::RouterId v : order) {
-      if (v == src) continue;
-      std::uint64_t* mv = fh.data() + static_cast<std::size_t>(v) * words;
-      for (const topo::CsrArc& arc : csr.out(v)) {
-        if (link_down != nullptr && (*link_down)[arc.link]) continue;
-        const std::uint32_t du = row.dist[arc.to];
-        if (du == kUnreachable || du + arc.cost != row.dist[v]) continue;
-        if (arc.to == src) {
-          const std::size_t bit = src_bit(arc.link);
-          mv[bit / 64] |= std::uint64_t{1} << (bit % 64);
-        } else {
-          const std::uint64_t* mu =
-              fh.data() + static_cast<std::size_t>(arc.to) * words;
-          for (std::size_t w = 0; w < words; ++w) mv[w] |= mu[w];
-        }
-      }
-    }
-    for (topo::RouterId dst = 0; dst < n; ++dst) {
-      row.nh_begin[dst] = static_cast<std::uint32_t>(row.nh.size());
-      if (dst == src) continue;
-      const std::uint64_t* m =
-          fh.data() + static_cast<std::size_t>(dst) * words;
-      for (std::size_t w = 0; w < words; ++w) decode_word(m[w], w * 64);
-    }
-  }
-  row.nh_begin[n] = static_cast<std::uint32_t>(row.nh.size());
-  return row;
-}
-
 }  // namespace
 
-IgpState IgpState::assemble(std::size_t n, std::vector<SourceRow>& fresh,
-                            const std::vector<std::uint8_t>* use_fresh,
-                            const IgpState* baseline) {
-  IgpState out;
-  out.n_ = n;
-  out.dist_.resize(n * n);
-  out.offsets_.resize(n * n + 1);
-
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (use_fresh == nullptr || (*use_fresh)[s]) {
-      total += fresh[s].nh.size();
-    } else {
-      total += static_cast<std::size_t>(baseline->offsets_[(s + 1) * n] -
-                                        baseline->offsets_[s * n]);
-    }
+void IgpState::SlotsDeleter::operator()(Slot* slots) const noexcept {
+  for (std::size_t t = 0; t < n; ++t) {
+    ::operator delete(
+        const_cast<std::uint32_t*>(slots[t].load(std::memory_order_relaxed)));
   }
-  out.nh_.reserve(total);
-
-  out.offsets_[0] = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint64_t base = out.nh_.size();
-    if (use_fresh == nullptr || (*use_fresh)[s]) {
-      SourceRow& row = fresh[s];
-      std::copy(row.dist.begin(), row.dist.end(), out.dist_.begin() + s * n);
-      for (std::size_t d = 0; d < n; ++d) {
-        out.offsets_[s * n + d + 1] = base + row.nh_begin[d + 1];
-      }
-      out.nh_.insert(out.nh_.end(), row.nh.begin(), row.nh.end());
-      row = SourceRow{};  // free per-source scratch early
-    } else {
-      std::copy(baseline->dist_.begin() + s * n,
-                baseline->dist_.begin() + (s + 1) * n,
-                out.dist_.begin() + s * n);
-      const std::uint64_t row_start = baseline->offsets_[s * n];
-      for (std::size_t d = 0; d < n; ++d) {
-        out.offsets_[s * n + d + 1] =
-            base + (baseline->offsets_[s * n + d + 1] - row_start);
-      }
-      out.nh_.insert(out.nh_.end(), baseline->nh_.begin() + row_start,
-                     baseline->nh_.begin() + baseline->offsets_[(s + 1) * n]);
-    }
-  }
-  return out;
+  delete[] slots;
 }
-
-namespace {
-
-// Union of the transient down set and the overlay's down links, as the mask
-// the per-source SPF consumes. Returns nullptr when nothing is down.
-const std::vector<bool>* merge_down(const std::vector<bool>* link_down,
-                                    const LinkOverlay* overlay,
-                                    std::vector<bool>& scratch) {
-  if (overlay == nullptr || overlay->down.empty()) return link_down;
-  if (link_down == nullptr) return &overlay->down;
-  scratch = *link_down;
-  for (std::size_t l = 0; l < scratch.size(); ++l) {
-    if (overlay->down[l]) scratch[l] = true;
-  }
-  return &scratch;
-}
-
-topo::CsrAdjacency make_overlay_csr(const topo::AsTopology& topo,
-                                    const LinkOverlay* overlay) {
-  return overlay != nullptr && !overlay->cost.empty()
-             ? topo.make_csr(&overlay->cost)
-             : topo.make_csr();
-}
-
-}  // namespace
 
 IgpState IgpState::compute(const topo::AsTopology& topo,
                            const std::vector<bool>* link_down,
-                           util::ThreadPool* pool,
                            const LinkOverlay* overlay) {
-  // Call-site wall clock: nested per-source parallelism joins before the
-  // span ends, so the duration covers the whole computation. The stage
-  // span attributes it as SPF work of whichever cycle is current (no-op
-  // during the initial internet build, which runs outside any cycle).
-  const obs::StageSpan span(obs::Stage::kSpf);
-  static obs::Counter& sources =
-      obs::registry().counter("igp.spf_sources_computed");
   static obs::Counter& computes = obs::registry().counter("igp.computes");
+  computes.inc();
+
+  IgpState state;
+  state.n_ = topo.router_count();
+  state.csr_ = overlay != nullptr && !overlay->cost.empty()
+                   ? topo.make_csr(&overlay->cost)
+                   : topo.make_csr();
+  if (link_down != nullptr) state.down_ = *link_down;
+  if (overlay != nullptr && !overlay->down.empty()) {
+    if (state.down_.empty()) {
+      state.down_ = overlay->down;
+    } else {
+      for (std::size_t l = 0; l < state.down_.size(); ++l) {
+        if (overlay->down[l]) state.down_[l] = true;
+      }
+    }
+  }
+  if (std::find(state.down_.begin(), state.down_.end(), true) ==
+      state.down_.end()) {
+    state.down_.clear();
+  }
+
+  // Connected components over the surviving links, labelled by flood fill
+  // in router order.
+  state.component_.assign(state.n_, kUnreachable);
+  std::vector<topo::RouterId> stack;
+  for (topo::RouterId root = 0; root < state.n_; ++root) {
+    if (state.component_[root] != kUnreachable) continue;
+    state.component_[root] = root;
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const topo::RouterId u = stack.back();
+      stack.pop_back();
+      for (const topo::CsrArc& arc : state.csr_.out(u)) {
+        if (is_down(state.down_, arc.link) ||
+            state.component_[arc.to] != kUnreachable) {
+          continue;
+        }
+        state.component_[arc.to] = root;
+        stack.push_back(arc.to);
+      }
+    }
+  }
+
+  state.slots_ = std::unique_ptr<Slot[], SlotsDeleter>(
+      new Slot[state.n_](), SlotsDeleter{state.n_});
+  return state;
+}
+
+const std::uint32_t* IgpState::install(topo::RouterId dst) const {
+  // Rows are computed wherever they are first read (cycle evolution, flap
+  // reroutes, probe workers); the stage span attributes each one as SPF
+  // work of whichever cycle is current.
+  const obs::StageSpan span(obs::Stage::kSpf);
+  static obs::Counter& rows =
+      obs::registry().counter("igp.spf_rows_computed");
   static obs::Histogram& duration =
       obs::registry().histogram("igp.compute_ns");
   const obs::ScopedTimer timer(duration);
 
-  const topo::CsrAdjacency csr = make_overlay_csr(topo, overlay);
-  std::vector<bool> merged;
-  const std::vector<bool>* mask = merge_down(link_down, overlay, merged);
-  const std::size_t n = csr.router_count();
-  std::vector<SourceRow> rows(n);
-  util::parallel_for(pool, n, [&](std::size_t s) {
-    rows[s] = spf_source(csr, static_cast<topo::RouterId>(s), mask);
-  });
-  computes.inc();
-  sources.add(n);
-  return assemble(n, rows, nullptr, nullptr);
-}
-
-IgpState IgpState::reconverge(const topo::AsTopology& topo,
-                              const IgpState& baseline,
-                              const std::vector<bool>& link_down,
-                              util::ThreadPool* pool,
-                              ReconvergeStats* stats,
-                              const LinkOverlay* overlay) {
-  const obs::StageSpan span(obs::Stage::kSpf);
-  static obs::Counter& recomputed =
-      obs::registry().counter("igp.reconverge_sources_recomputed");
-  static obs::Counter& skipped =
-      obs::registry().counter("igp.reconverge_sources_skipped");
-  static obs::Counter& reconverges =
-      obs::registry().counter("igp.reconverges");
-  static obs::Histogram& duration =
-      obs::registry().histogram("igp.reconverge_ns");
-  const obs::ScopedTimer timer(duration);
-
-  const std::size_t n = baseline.n_;
-  struct Down {
-    topo::RouterId a, b;
-    std::uint32_t cost;
-  };
-  std::vector<Down> downed;
-  for (topo::LinkId l = 0; l < link_down.size(); ++l) {
-    if (!link_down[l]) continue;
-    // Overlay-down links are already absent from the baseline; only the
-    // transient failures on top of it can perturb baseline shortest paths.
-    if (overlay != nullptr && overlay->is_down(l)) continue;
-    const topo::Link& link = topo.link(l);
-    const std::uint32_t cost =
-        overlay != nullptr ? overlay->cost_of(link) : link.igp_cost;
-    downed.push_back(Down{link.a, link.b, cost});
+  thread_local std::vector<std::uint32_t> words;
+  words.assign(2 * n_ + 1, kUnreachable);
+  std::uint32_t* dist = words.data();
+  std::uint32_t* begin = dist + n_;
+  if (csr_.max_cost() >= 1 && csr_.max_cost() <= kMaxDialCost) {
+    dijkstra_dial(csr_, dst, down_, dist);
+  } else {
+    dijkstra_heap(csr_, dst, down_, dist);
   }
 
-  // A source is affected iff some downed link lies on one of its shortest
-  // paths, i.e. is tight under its baseline distances in either direction.
-  std::vector<std::uint8_t> affected(n, 0);
-  std::size_t n_affected = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint32_t* d = baseline.dist_.data() + s * n;
-    for (const Down& l : downed) {
-      const std::uint32_t da = d[l.a];
-      const std::uint32_t db = d[l.b];
-      if ((da != kUnreachable && da + l.cost == db) ||
-          (db != kUnreachable && db + l.cost == da)) {
-        affected[s] = 1;
-        ++n_affected;
-        break;
+  // Router r's next hops toward dst: its live arcs onto a shortest path,
+  // i.e. cost + dist[to] == dist[r]. CSR arcs are in ascending link-id
+  // order, which is the order the rows keep. Built in per-thread scratch,
+  // then copied into one exactly sized block.
+  thread_local std::vector<NextHop> nh;
+  nh.clear();
+  for (topo::RouterId r = 0; r < n_; ++r) {
+    begin[r] = static_cast<std::uint32_t>(nh.size());
+    const std::uint32_t dr = dist[r];
+    if (r == dst || dr == kUnreachable) continue;
+    for (const topo::CsrArc& arc : csr_.out(r)) {
+      if (is_down(down_, arc.link)) continue;
+      const std::uint32_t dto = dist[arc.to];
+      if (dto != kUnreachable && dto + arc.cost == dr) {
+        nh.push_back(NextHop{arc.link, arc.to});
       }
     }
   }
-  if (stats != nullptr) {
-    stats->sources_total = n;
-    stats->sources_recomputed = n_affected;
-  }
-  reconverges.inc();
-  recomputed.add(n_affected);
-  skipped.add(n - n_affected);
+  begin[n_] = static_cast<std::uint32_t>(nh.size());
 
-  std::vector<SourceRow> rows(n);
-  if (n_affected > 0) {
-    const topo::CsrAdjacency csr = make_overlay_csr(topo, overlay);
-    util::parallel_for(pool, n, [&](std::size_t s) {
-      if (affected[s]) {
-        rows[s] =
-            spf_source(csr, static_cast<topo::RouterId>(s), &link_down);
-      }
-    });
-  }
-  return assemble(n, rows, &affected, &baseline);
-}
+  // One block: the words, then the next hops (NextHop is two words, so
+  // the hops start aligned right after the words; hops_of() finds them).
+  static_assert(alignof(NextHop) == alignof(std::uint32_t));
+  auto* fresh = static_cast<std::uint32_t*>(::operator new(
+      words.size() * sizeof(std::uint32_t) + nh.size() * sizeof(NextHop)));
+  std::uninitialized_copy(words.begin(), words.end(), fresh);
+  std::uninitialized_copy(nh.begin(), nh.end(),
+                          reinterpret_cast<NextHop*>(fresh + words.size()));
 
-IgpState IgpState::reconverge_delta(const topo::AsTopology& topo,
-                                    const IgpState& prev,
-                                    const LinkOverlay& prev_overlay,
-                                    const LinkOverlay& now_overlay,
-                                    util::ThreadPool* pool,
-                                    ReconvergeStats* stats) {
-  const obs::StageSpan span(obs::Stage::kSpf);
-  static obs::Counter& recomputed =
-      obs::registry().counter("igp.delta_sources_recomputed");
-  static obs::Counter& skipped =
-      obs::registry().counter("igp.delta_sources_skipped");
-  static obs::Counter& deltas = obs::registry().counter("igp.delta_reconverges");
-  static obs::Histogram& duration =
-      obs::registry().histogram("igp.delta_reconverge_ns");
-  const obs::ScopedTimer timer(duration);
-
-  const std::size_t n = prev.n_;
-  // Effective per-link state transition across the overlay change.
-  struct Change {
-    topo::RouterId a, b;
-    std::uint32_t was, now;  // kUnreachable = link absent
-  };
-  std::vector<Change> changes;
-  for (const topo::Link& link : topo.links()) {
-    const std::uint32_t was = prev_overlay.is_down(link.id)
-                                  ? kUnreachable
-                                  : prev_overlay.cost_of(link);
-    const std::uint32_t now = now_overlay.is_down(link.id)
-                                  ? kUnreachable
-                                  : now_overlay.cost_of(link);
-    if (was != now) changes.push_back(Change{link.a, link.b, was, now});
+  // First writer wins; a racing reader's equal row is dropped.
+  const std::uint32_t* expected = nullptr;
+  if (slots_[dst].compare_exchange_strong(expected, fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    rows.inc();
+    return fresh;
   }
-
-  // A source is clean iff its previous row is still valid: no removed or
-  // repriced link was tight under its old distances (case a), and no added
-  // or cheapened link can reach an endpoint at <= its old distance (case
-  // b — `<=` also catches new equal-cost ties joining an ECMP set).
-  std::vector<std::uint8_t> affected(n, 0);
-  std::size_t n_affected = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint32_t* d = prev.dist_.data() + s * n;
-    for (const Change& c : changes) {
-      const std::uint32_t da = d[c.a];
-      const std::uint32_t db = d[c.b];
-      bool dirty = false;
-      if (c.was != kUnreachable) {
-        dirty = (da != kUnreachable && da + c.was == db) ||
-                (db != kUnreachable && db + c.was == da);
-      }
-      if (!dirty && c.now != kUnreachable &&
-          (c.was == kUnreachable || c.now < c.was)) {
-        dirty = (da != kUnreachable && (db == kUnreachable || da + c.now <= db)) ||
-                (db != kUnreachable && (da == kUnreachable || db + c.now <= da));
-      }
-      if (dirty) {
-        affected[s] = 1;
-        ++n_affected;
-        break;
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->sources_total = n;
-    stats->sources_recomputed = n_affected;
-  }
-  deltas.inc();
-  recomputed.add(n_affected);
-  skipped.add(n - n_affected);
-
-  std::vector<SourceRow> rows(n);
-  if (n_affected > 0) {
-    const topo::CsrAdjacency csr = make_overlay_csr(topo, &now_overlay);
-    const std::vector<bool>* mask =
-        now_overlay.down.empty() ? nullptr : &now_overlay.down;
-    util::parallel_for(pool, n, [&](std::size_t s) {
-      if (affected[s]) {
-        rows[s] = spf_source(csr, static_cast<topo::RouterId>(s), mask);
-      }
-    });
-  }
-  return assemble(n, rows, &affected, &prev);
+  ::operator delete(fresh);
+  return expected;
 }
 
 std::uint64_t IgpState::path_count(topo::RouterId src, topo::RouterId dst,
                                    std::uint64_t cap) const {
   if (src == dst) return 1;
-  if (dist_[static_cast<std::size_t>(src) * n_ + dst] == kUnreachable) {
-    return 0;
-  }
+  if (!reachable(src, dst)) return 0;
   // Memoized DP over the next-hop DAG: memo[v] = min(#paths v->dst, cap).
   // kUnset must stay distinct from any legal value, so clamp cap below ~0.
   constexpr std::uint64_t kUnset = ~std::uint64_t{0};
@@ -534,7 +229,7 @@ std::uint64_t IgpState::path_count(topo::RouterId src, topo::RouterId dst,
       continue;
     }
     bool ready = true;
-    for (const NextHop& nh : rib(v).nexthops(dst)) {
+    for (const NextHop& nh : nexthops(v, dst)) {
       if (memo[nh.neighbor] == kUnset) {
         stack.push_back(nh.neighbor);
         ready = false;
@@ -543,7 +238,7 @@ std::uint64_t IgpState::path_count(topo::RouterId src, topo::RouterId dst,
     if (!ready) continue;
     stack.pop_back();
     std::uint64_t total = 0;
-    for (const NextHop& nh : rib(v).nexthops(dst)) {
+    for (const NextHop& nh : nexthops(v, dst)) {
       const std::uint64_t c = memo[nh.neighbor];
       total = c >= cap - total ? cap : total + c;
       if (total >= cap) break;

@@ -1,30 +1,36 @@
 // Link-state IGP shortest-path computation with full ECMP support.
 //
-// For every (source, destination-router) pair we keep *all* equal-cost
-// next hops, each identified by the outgoing link (so two parallel links to
-// the same neighbour are two distinct ECMP next hops, exactly the situation
-// behind the paper's "Parallel Links" subclass). LDP LSP-trees and the
-// forwarding plane both consume these next-hop sets.
+// For every (router, destination-router) pair the state answers the
+// distance and *all* equal-cost next hops, each identified by the outgoing
+// link (so two parallel links to the same neighbour are two distinct ECMP
+// next hops, exactly the situation behind the paper's "Parallel Links"
+// subclass). LDP LSP-trees and the forwarding plane both consume these
+// next-hop sets.
 //
-// Storage is flat: one contiguous distance matrix, one contiguous NextHop
-// pool, and a CSR offset table per (source, destination) — no per-pair
-// heap allocations. `rib(r)` returns a lightweight view into those arrays.
-// `compute` runs one Dijkstra per source over a CSR adjacency snapshot and
-// derives the ECMP first-hop sets with a single distance-ordered sweep over
-// the shortest-path predecessor DAG (O(V+E) per source, bitmask over the
-// source's incident links). Sources are independent, so the work spreads
-// over a thread pool with byte-identical output at any thread count.
+// The state is egress-rooted and lazy, like the LSP-trees it feeds: every
+// consumer walks toward one destination (an egress LER, a TE tail end), so
+// the state keeps one row per destination `t`, computed on first use and
+// never rebuilt. A row is one Dijkstra from `t` over a CSR adjacency
+// snapshot (link costs are symmetric, so distances from `t` are distances
+// to `t`), plus one sweep that keeps, for every router, its arcs that lie on
+// a shortest path toward `t`. `compute` itself is O(V + E): it snapshots the
+// adjacency and the down mask and labels connected components, which answer
+// `reachable` without forcing any row.
+//
+// Rows install through one atomic pointer per destination, so concurrent
+// readers (the probe fan-out) may fill them in any order. A row is a pure
+// function of (topology, overlay, down mask, destination), so every read
+// sees the same bytes at any thread count and in any query order.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "topo/topology.h"
-
-namespace mum::util {
-class ThreadPool;
-}
 
 namespace mum::igp {
 
@@ -67,122 +73,78 @@ struct LinkOverlay {
   friend bool operator==(const LinkOverlay&, const LinkOverlay&) = default;
 };
 
-namespace detail {
-struct SourceRow;  // per-source SPF scratch (spf.cpp)
-}
-
-class IgpState;
-
-// Routing state of one router: distance and ECMP next-hop set toward every
-// other router of the AS (indexed by destination RouterId). Non-owning view
-// into the IgpState that produced it; valid while that state is alive.
-class RouterRib {
- public:
-  RouterRib() = default;
-
-  std::uint32_t distance(topo::RouterId dst) const { return dist_[dst]; }
-  bool reachable(topo::RouterId dst) const {
-    return dist_[dst] != kUnreachable;
-  }
-  // Next hops toward `dst`, in ascending outgoing-link-id order.
-  std::span<const NextHop> nexthops(topo::RouterId dst) const {
-    return {nh_ + off_[dst], static_cast<std::size_t>(off_[dst + 1] - off_[dst])};
-  }
-
- private:
-  friend class IgpState;
-  RouterRib(const std::uint32_t* dist, const std::uint64_t* off,
-            const NextHop* nh)
-      : dist_(dist), off_(off), nh_(nh) {}
-
-  const std::uint32_t* dist_ = nullptr;
-  const std::uint64_t* off_ = nullptr;  // global offsets into nh_
-  const NextHop* nh_ = nullptr;
-};
-
-// All-routers routing state for one AS.
+// Routing state of one AS under one link set.
 class IgpState {
  public:
-  // What an incremental reconvergence actually did (see `reconverge`).
-  struct ReconvergeStats {
-    std::size_t sources_total = 0;
-    std::size_t sources_recomputed = 0;  // rest copied from the baseline
-  };
+  // Not `= default`: GCC cannot default-construct the nested deleter before
+  // the class is complete.
+  IgpState() : slots_(nullptr, SlotsDeleter{}) {}
 
-  // Runs Dijkstra from every router. O(R * (L log R)). When `link_down` is
-  // given (indexed by LinkId), those links are excluded — the state after an
-  // IGP reconvergence around failed links. When `overlay` is given, its
-  // down links are excluded too and its cost overrides replace base link
-  // metrics. When `pool` is given, sources are computed in parallel; output
-  // is byte-identical at any thread count.
+  // Snapshots the adjacency and labels connected components; computes no
+  // SPF row. When `link_down` is given (indexed by LinkId), those links are
+  // excluded — the IGP converged around failed links. When `overlay` is
+  // given, its down links are excluded too and its cost overrides replace
+  // base link metrics.
   static IgpState compute(const topo::AsTopology& topo,
                           const std::vector<bool>* link_down = nullptr,
-                          util::ThreadPool* pool = nullptr,
                           const LinkOverlay* overlay = nullptr);
 
-  // Incremental reconvergence: equivalent to `compute(topo, &link_down)`
-  // given a `baseline` computed on the same topology with no links down,
-  // but only recomputes sources whose shortest-path DAG actually traverses
-  // a downed link (a link is on some shortest path from s iff it is "tight"
-  // under s's baseline distances); every other source's RIB row is copied
-  // from the baseline. Removing links that carry none of s's shortest paths
-  // changes neither s's distances nor its ECMP sets, so the result is
-  // byte-identical to a full recompute.
-  // When `overlay` is given, `baseline` must have been computed under that
-  // same overlay (`compute(topo, nullptr, pool, overlay)`), and `link_down`
-  // must be the *full* down set including the overlay's own down links; the
-  // tight-link test then skips overlay-down links (already absent from the
-  // baseline) and prices the rest with the overlay's cost overrides.
-  static IgpState reconverge(const topo::AsTopology& topo,
-                             const IgpState& baseline,
-                             const std::vector<bool>& link_down,
-                             util::ThreadPool* pool = nullptr,
-                             ReconvergeStats* stats = nullptr,
-                             const LinkOverlay* overlay = nullptr);
-
-  // Cross-cycle incremental reconvergence: given `prev` computed under
-  // `prev_overlay`, produce the state under `now_overlay`, recomputing only
-  // sources the overlay transition can affect. A source must be recomputed
-  // iff (a) a removed/worsened link was tight under its previous distances
-  // (it carried one of the source's shortest paths), or (b) an added/
-  // cheapened link could now reach a destination at <= its previous
-  // distance (shorter path or new ECMP tie). Every other source's row is
-  // byte-identical to a full recompute and is copied from `prev`.
-  static IgpState reconverge_delta(const topo::AsTopology& topo,
-                                   const IgpState& prev,
-                                   const LinkOverlay& prev_overlay,
-                                   const LinkOverlay& now_overlay,
-                                   util::ThreadPool* pool = nullptr,
-                                   ReconvergeStats* stats = nullptr);
-
-  RouterRib rib(topo::RouterId r) const {
-    return RouterRib(dist_.data() + static_cast<std::size_t>(r) * n_,
-                     offsets_.data() + static_cast<std::size_t>(r) * n_,
-                     nh_.data());
+  // Next hops of `at` toward `dst`, in ascending outgoing-link-id order
+  // (empty at `dst` itself and when `dst` is unreachable).
+  std::span<const NextHop> nexthops(topo::RouterId at,
+                                    topo::RouterId dst) const {
+    const std::uint32_t* words = row(dst);
+    const std::uint32_t* begin = words + n_;
+    return {hops_of(words) + begin[at],
+            static_cast<std::size_t>(begin[at + 1] - begin[at])};
   }
+  std::uint32_t distance(topo::RouterId at, topo::RouterId dst) const {
+    return row(dst)[at];
+  }
+  // From the component labels: forces no row.
+  bool reachable(topo::RouterId at, topo::RouterId dst) const {
+    return component_[at] == component_[dst];
+  }
+
   std::size_t router_count() const noexcept { return n_; }
+  // Links this state excludes (the union of `link_down` and the overlay's
+  // down links); empty when none are.
+  const std::vector<bool>& link_down() const noexcept { return down_; }
 
   // Number of loop-free shortest paths from src to dst (counts distinct
-  // link sequences, saturating at `cap`). Memoized DP over the next-hop
+  // link sequences, saturating at `cap`). Memoized DP over dst's next-hop
   // DAG: O(V + E) regardless of how many paths the DAG encodes.
   std::uint64_t path_count(topo::RouterId src, topo::RouterId dst,
                            std::uint64_t cap = 1u << 20) const;
 
-  // Whole-state equality (test oracle for incremental reconvergence).
-  friend bool operator==(const IgpState&, const IgpState&) = default;
-
  private:
-  // Concatenates per-source rows (fresh, or copied from `baseline` where
-  // `use_fresh` is 0) into the flat arrays, in source order.
-  static IgpState assemble(std::size_t n,
-                           std::vector<detail::SourceRow>& rows,
-                           const std::vector<std::uint8_t>* use_fresh,
-                           const IgpState* baseline);
+  // A destination's row is one allocation, so a lookup is two dependent
+  // loads past its slot: the distance of every router toward it (n words),
+  // n + 1 offsets into the next hops, then the next hops grouped by router.
+  // The slot points at the first word.
+  using Slot = std::atomic<const std::uint32_t*>;
+  struct SlotsDeleter {
+    std::size_t n = 0;
+    void operator()(Slot* slots) const noexcept;
+  };
+
+  const std::uint32_t* row(topo::RouterId dst) const {
+    const std::uint32_t* r = slots_[dst].load(std::memory_order_acquire);
+    return r != nullptr ? r : install(dst);
+  }
+  // The next hops install() placed right after the row's 2n + 1 words.
+  const NextHop* hops_of(const std::uint32_t* words) const {
+    return std::launder(
+        reinterpret_cast<const NextHop*>(words + 2 * n_ + 1));
+  }
+  // Computes dst's row and publishes it (first writer wins).
+  const std::uint32_t* install(topo::RouterId dst) const;
 
   std::size_t n_ = 0;
-  std::vector<std::uint32_t> dist_;    // n * n, row = source
-  std::vector<std::uint64_t> offsets_; // n * n + 1, into nh_
-  std::vector<NextHop> nh_;            // all next hops, grouped by (src, dst)
+  topo::CsrAdjacency csr_;
+  std::vector<bool> down_;
+  std::vector<std::uint32_t> component_;
+  std::unique_ptr<Slot[], SlotsDeleter> slots_;
 };
 
 }  // namespace mum::igp

@@ -19,8 +19,7 @@ std::vector<topo::LinkId> RsvpTePlane::compute_route(
   topo::RouterId at = ingress;
   std::uint32_t salt = variant;
   while (at != egress) {
-    const std::span<const igp::NextHop> nhs =
-        igp_->rib(at).nexthops(egress);
+    const std::span<const igp::NextHop> nhs = igp_->nexthops(at, egress);
     if (nhs.empty()) return {};  // unreachable
     const std::size_t pick =
         nhs.size() == 1 ? 0 : (salt % nhs.size());

@@ -97,7 +97,7 @@ class RsvpTePlane {
   // (RSVP-TE make-before-break re-optimization).
   void reoptimize(LspId id, std::vector<LabelPool>& pools);
 
-  // Re-signal an existing LSP over a NEW route (reconvergence around a
+  // Re-signal an existing LSP over a NEW route (re-routing around a
   // failure). No-op when `route` is empty.
   void resignal_over(LspId id, const std::vector<topo::LinkId>& route,
                      std::vector<LabelPool>& pools);

@@ -7,11 +7,11 @@
 // work buried inside generation). The accumulator is thread_local and lives
 // on the thread running the cycle loop: spans on that thread reach the
 // manifest, while spans that run on pool workers (per-AS evolution, SPF
-// over sources, monitor fan-out) reach the registry and the trace but not
+// rows, monitor fan-out) reach the registry and the trace but not
 // the manifest. At threads > 1 the manifest's stages under-count the
 // registry's.
 //
-// Stages may overlap: SPF reconvergence runs *inside* generation, so
+// Stages may overlap: SPF rows are computed *inside* generation, so
 // spf <= generate and the stage array does not sum to the cycle duration.
 // The manifest documents the same convention.
 //

@@ -15,7 +15,7 @@
 // inner loop. That keeps the always-on overhead of a full campaign under
 // the 3% budget gated by scripts/bench.sh (see DESIGN.md Sec. 12).
 //
-// Metric names are dot-separated paths ("ingest.bytes", "igp.reconverge_ns").
+// Metric names are dot-separated paths ("ingest.bytes", "igp.compute_ns").
 // Call sites cache the reference once (registry lookup takes a mutex):
 //
 //   static obs::Counter& bytes = obs::registry().counter("ingest.bytes");

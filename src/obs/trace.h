@@ -39,7 +39,7 @@ class TraceLog {
   static std::unique_ptr<TraceLog> open(const std::string& path);
 
   // A timed phase. `cycle` is 1-based in the output; pass cycle < 0 to
-  // omit the field (spans not tied to one cycle, e.g. SPF reconvergence).
+  // omit the field (spans not tied to one cycle, e.g. SPF rows).
   void span(std::string_view name, int cycle, std::uint64_t t_ns,
             std::uint64_t dur_ns);
   // A point event with optional free-text detail.

@@ -115,9 +115,8 @@ bool walk_segment(const SegmentSpec& seg, net::Ipv4Addr dst,
   for (std::size_t budget = topo.router_count() + 4; at != seg.egress;
        --budget) {
     if (budget == 0) return false;
-    // Flat-RIB accessor: a contiguous slice of the AS-wide next-hop pool.
-    const std::span<const igp::NextHop> nhs =
-        igp.rib(at).nexthops(seg.egress);
+    // A contiguous slice of the egress's SPF row (computed on first use).
+    const std::span<const igp::NextHop> nhs = igp.nexthops(at, seg.egress);
     if (nhs.empty()) return false;
     const auto& nh =
         nhs[ecmp_pick(flow_hash, at, plane.salt_for(at), nhs.size())];

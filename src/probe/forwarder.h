@@ -63,7 +63,7 @@ struct AsDataPlane {
   double ler_share = 1.0;
   std::uint64_t ler_salt = 0;
   // Per-router ECMP hash salts. Perturbing a router's salt between snapshots
-  // models an IGP reconvergence that re-maps flows to branches — the routing
+  // models an IGP route change that re-maps flows to branches — the routing
   // noise the Persistence filter is designed to remove. Empty => asn is used.
   std::vector<std::uint64_t> ecmp_salts;
 

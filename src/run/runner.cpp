@@ -314,9 +314,9 @@ RunOutcome Runner::run_all_contained() const {
 
     // Stage timings accumulate through a thread-local scope installed on
     // this thread. Stage spans that run on pool workers (per-AS evolution,
-    // SPF sources, monitor fan-out) reach the registry's run.stage.*
-    // histograms but not this cycle's manifest stages, so at threads > 1
-    // the manifest under-counts what the registry records.
+    // SPF rows first read by the monitor fan-out) reach the registry's
+    // run.stage.* histograms but not this cycle's manifest stages, so at
+    // threads > 1 the manifest under-counts what the registry records.
     const std::uint64_t cycle_t0 = obs::monotonic_ns();
     const auto process = [&] {
       if (abort) {

@@ -2,7 +2,7 @@
 // studies. A Runner builds the synthetic internet once from its config, then
 // runs monthly cycles in order through generation and the LPR pipeline: one
 // standing world evolves cycle to cycle, and the inner stages (monitor
-// fan-out, per-AS evolution, SPF sources, classification) use a thread pool
+// fan-out, per-AS evolution, classification) use a thread pool
 // the Runner owns.
 //
 // The fig*/table* binaries, the CLI and the examples all share this one
@@ -70,8 +70,10 @@ struct RunnerConfig {
   // Extra attempts for a cycle whose worker threw. The attempt number keys
   // the io-fault streams (an injected EIO storm on attempt 0 does not recur
   // on attempt 1), while data chaos keys off (seed, cycle) alone — so an
-  // injected cycle failure still burns every attempt, and the report bytes
-  // never depend on how many attempts a cycle needed. 0 = no retries.
+  // injected cycle failure still burns every attempt. Every attempt probes
+  // a freshly settled month (the DeltaEvolver re-steps a cycle that a
+  // failed attempt already probed), so the report bytes never depend on
+  // how many attempts a cycle needed. 0 = no retries.
   int retries = 0;
   // Deterministic backoff between attempts: attempt N sleeps N * this.
   std::uint32_t retry_backoff_ms = 1;

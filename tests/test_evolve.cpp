@@ -6,7 +6,7 @@
 // cycle, with every churn knob turned on. The full rebuild stays available
 // as the oracle (`Internet::instantiate`, `Runner::run_cycle`); these tests
 // hold the two paths against each other at every layer (arena, label pools,
-// incremental SPF, evolver, runner, resume).
+// lazy SPF rows, evolver, runner, resume).
 #include "gen/evolve.h"
 
 #include <gtest/gtest.h>
@@ -23,9 +23,11 @@
 #include "igp/spf.h"
 #include "mpls/label_pool.h"
 #include "mpls/rsvp.h"
+#include "obs/telemetry.h"
 #include "run/checkpoint.h"
 #include "run/manifest.h"
 #include "run/runner.h"
+#include "spf_reference.h"
 #include "topo/builder.h"
 #include "topo/topology.h"
 #include "util/arena.h"
@@ -126,7 +128,7 @@ TEST(LabelPool, RestoreRewindsToTheExactDrawSequence) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(pool.allocate(), first[i]);
 }
 
-// --- igp::IgpState::reconverge_delta ---------------------------------------
+// --- igp::IgpState under cycle overlays --------------------------------------
 
 topo::AsTopology random_topology(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -156,46 +158,46 @@ igp::LinkOverlay random_overlay(const topo::AsTopology& topo, util::Rng& rng) {
 }
 
 // Walks a chain of random overlay transitions (downs appearing/clearing,
-// metrics rising/falling, back to trivial) and checks every delta-reconverged
-// state against a from-scratch compute under the same overlay. May partition
-// the topology — delta reconvergence must survive unreachable regions.
+// metrics rising/falling, back to trivial), as cycle evolution does, and
+// checks each cycle's state against the reference full recompute on the
+// overlay-priced topology. May partition the topology — the rows must
+// survive unreachable regions.
 TEST(ReconvergeDelta, MatchesFullRecomputeAcrossOverlayTransitions) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const topo::AsTopology topo = random_topology(seed);
     util::Rng rng(seed * 977 + 5);
-
-    igp::LinkOverlay prev;  // start trivial
-    igp::IgpState state = igp::IgpState::compute(topo);
     for (int step = 0; step < 5; ++step) {
       // Last step returns to trivial: the "failure repaired" transition.
-      igp::LinkOverlay now =
+      const igp::LinkOverlay now =
           step == 4 ? igp::LinkOverlay{} : random_overlay(topo, rng);
-      igp::IgpState::ReconvergeStats stats;
-      const igp::IgpState delta = igp::IgpState::reconverge_delta(
-          topo, state, prev, now, nullptr, &stats);
-      const igp::IgpState full = igp::IgpState::compute(
-          topo, nullptr, nullptr, now.trivial() ? nullptr : &now);
-      ASSERT_TRUE(delta == full) << "seed=" << seed << " step=" << step;
-      EXPECT_EQ(stats.sources_total, topo.router_count());
-      EXPECT_LE(stats.sources_recomputed, stats.sources_total);
-      state = full;
-      prev = std::move(now);
+      const igp::IgpState state = igp::IgpState::compute(
+          topo, nullptr, now.trivial() ? nullptr : &now);
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " step=" + std::to_string(step));
+      test::expect_matches_reference(test::with_costs(topo, now), state,
+                                     now.down.empty() ? nullptr : &now.down,
+                                     seed * 10 + step);
     }
   }
 }
 
+// Building a cycle state computes no SPF row, and two states under the same
+// overlay answer identically however their rows were filled.
 TEST(ReconvergeDelta, IdenticalOverlayRecomputesNothing) {
   const topo::AsTopology topo = random_topology(3);
   util::Rng rng(99);
   const igp::LinkOverlay overlay = random_overlay(topo, rng);
-  const igp::IgpState base =
-      igp::IgpState::compute(topo, nullptr, nullptr,
-                             overlay.trivial() ? nullptr : &overlay);
-  igp::IgpState::ReconvergeStats stats;
-  const igp::IgpState same = igp::IgpState::reconverge_delta(
-      topo, base, overlay, overlay, nullptr, &stats);
-  EXPECT_TRUE(same == base);
-  EXPECT_EQ(stats.sources_recomputed, 0u);
+  const igp::LinkOverlay* o = overlay.trivial() ? nullptr : &overlay;
+  obs::Counter& rows = obs::registry().counter("igp.spf_rows_computed");
+  const std::uint64_t before = rows.value();
+  const igp::IgpState base = igp::IgpState::compute(topo, nullptr, o);
+  const igp::IgpState same = igp::IgpState::compute(topo, nullptr, o);
+  EXPECT_EQ(rows.value(), before);
+  for (topo::RouterId d = topo.router_count(); d-- > 0;) {
+    same.distance(0, d);  // fill `same` in reverse destination order
+  }
+  EXPECT_TRUE(test::same_rows(same, base));
+  EXPECT_EQ(rows.value(), before + 2 * topo.router_count());
 }
 
 // --- RsvpTePlane arena reuse ------------------------------------------------
@@ -363,6 +365,62 @@ TEST(DeltaEvolver, MonthDataMatchesFreshMonth) {
           << "cycle=" << cycle << " snapshot=" << i;
     }
   }
+}
+
+// A retried cycle asks the evolver for the cycle it already holds, after a
+// whole month (extra-snapshot flaps, label dynamics) ran on the context. It
+// must get the fresh month again, not the one the failed attempt left.
+TEST(DeltaEvolver, RepeatedMonthOfOneCycleMatchesFreshMonth) {
+  const gen::GenConfig config = churny_config();
+  const gen::Internet internet(config);
+  const dataset::Ip2As ip2as = internet.build_ip2as();
+  const gen::CampaignRunner runner(internet, ip2as);
+
+  gen::DeltaEvolver evolver(internet);
+  for (const int cycle : {0, 3, 4}) {  // a full build, a jump, a step
+    runner.month(evolver, cycle);
+    const dataset::MonthData again = runner.month(evolver, cycle);
+    const dataset::MonthData fresh = runner.month(cycle);
+    ASSERT_EQ(again.snapshots.size(), fresh.snapshots.size());
+    for (std::size_t i = 0; i < fresh.snapshots.size(); ++i) {
+      EXPECT_TRUE(dataset::serialize_pack(again.snapshots[i]) ==
+                  dataset::serialize_pack(fresh.snapshots[i]))
+          << "cycle=" << cycle << " snapshot=" << i;
+    }
+  }
+}
+
+// The cycle snapshot applies sub-0 flaps twice (once settling the month,
+// once probing it). The second call keeps each AS's post-failure IGP state
+// and the rows it already computed.
+TEST(MonthContext, RepeatedSubZeroFlapsComputeNoRows) {
+  const gen::GenConfig config = churny_config();
+  const gen::Internet internet(config);
+  gen::MonthContext ctx = internet.instantiate(2);  // applies sub 0
+
+  std::vector<const igp::IgpState*> before;
+  bool any_failure = false;
+  for (const std::uint32_t asn : internet.modeled_asns()) {
+    const probe::AsDataPlane* plane = ctx.plane_of(asn);
+    before.push_back(plane->igp);
+    // A post-failure state excludes more links than the cycle overlay.
+    const gen::ModeledAs& as = *internet.modeled(asn);
+    any_failure |=
+        plane->igp->link_down() != internet.overlay_at(as, asn, 2).down;
+    plane->igp->distance(0, 0);  // force one row per state
+  }
+  ASSERT_TRUE(any_failure) << "no AS has sub-0 failures; test is vacuous";
+
+  obs::Counter& rows = obs::registry().counter("igp.spf_rows_computed");
+  const std::uint64_t rows_before = rows.value();
+  ctx.apply_flaps(/*sub_index=*/0, config.ecmp_flap_prob);
+  std::size_t i = 0;
+  for (const std::uint32_t asn : internet.modeled_asns()) {
+    const probe::AsDataPlane* plane = ctx.plane_of(asn);
+    EXPECT_EQ(plane->igp, before[i++]) << "AS " << asn;
+    plane->igp->distance(0, 0);
+  }
+  EXPECT_EQ(rows.value(), rows_before);
 }
 
 // --- Runner-level parity ----------------------------------------------------

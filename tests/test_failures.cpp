@@ -41,10 +41,10 @@ TEST(SpfLinkDown, FailureRemovesEcmpBranch) {
   std::vector<bool> down(f.topo.link_count(), false);
   down[f.ab] = true;
   const auto igp = igp::IgpState::compute(f.topo, &down);
-  const auto& nhs = igp.rib(f.a).nexthops(f.d);
+  const auto& nhs = igp.nexthops(f.a, f.d);
   ASSERT_EQ(nhs.size(), 1u);
   EXPECT_EQ(nhs[0].neighbor, f.c);
-  EXPECT_EQ(igp.rib(f.a).distance(f.d), 2u);
+  EXPECT_EQ(igp.distance(f.a, f.d), 2u);
 }
 
 TEST(SpfLinkDown, FailureLengthensPath) {
@@ -53,7 +53,7 @@ TEST(SpfLinkDown, FailureLengthensPath) {
   down[f.ab] = true;
   down[f.ac] = true;
   const auto igp = igp::IgpState::compute(f.topo, &down);
-  EXPECT_FALSE(igp.rib(f.a).reachable(f.d));  // both arms cut
+  EXPECT_FALSE(igp.reachable(f.a, f.d));  // both arms cut
 }
 
 TEST(SpfLinkDown, NullFailureVectorMatchesBase) {
@@ -63,7 +63,7 @@ TEST(SpfLinkDown, NullFailureVectorMatchesBase) {
   const auto same = igp::IgpState::compute(f.topo, &none);
   for (RouterId s = 0; s < f.topo.router_count(); ++s) {
     for (RouterId t = 0; t < f.topo.router_count(); ++t) {
-      EXPECT_EQ(base.rib(s).distance(t), same.rib(s).distance(t));
+      EXPECT_EQ(base.distance(s, t), same.distance(s, t));
     }
   }
 }

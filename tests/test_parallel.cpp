@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/classify.h"
@@ -16,7 +18,11 @@
 #include "dataset/pack.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
+#include "igp/spf.h"
 #include "run/runner.h"
+#include "spf_reference.h"
+#include "topo/builder.h"
+#include "util/rng.h"
 
 namespace mum {
 namespace {
@@ -29,6 +35,54 @@ gen::GenConfig small_config() {
   c.monitors = 4;
   c.dests_per_monitor = 60;
   return c;
+}
+
+// --- lazy IGP rows under concurrent first touch -------------------------------
+
+// Four threads query every (router, destination) pair of one fresh state,
+// each in its own shuffled order, so rows are raced into their slots; the
+// result equals a serial fill. Under TSan this also checks the row
+// publication (one acquire load per read, compare-exchange on install).
+TEST(IgpRows, ConcurrentFirstTouchMatchesSerialFill) {
+  util::Rng rng(7);
+  topo::BuildParams params;
+  params.asn = 1;
+  params.block = net::Ipv4Prefix(net::Ipv4Addr(16, 0, 0, 0), 16);
+  params.core_routers = 8;
+  params.pop_routers = 40;
+  params.parallel_link_prob = 0.3;
+  const topo::AsTopology topo = topo::build_as_topology(params, rng);
+  std::vector<bool> down(topo.link_count(), false);
+  for (std::size_t l = 0; l < down.size(); l += 17) down[l] = true;
+
+  const igp::IgpState raced = igp::IgpState::compute(topo, &down);
+  const std::size_t n = topo.router_count();
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::pair<topo::RouterId, topo::RouterId>> pairs;
+      for (topo::RouterId s = 0; s < n; ++s) {
+        for (topo::RouterId d = 0; d < n; ++d) pairs.emplace_back(s, d);
+      }
+      util::Rng order(100 + static_cast<std::uint64_t>(t));
+      for (std::size_t i = pairs.size(); i > 1; --i) {
+        std::swap(pairs[i - 1], pairs[order.below(i)]);
+      }
+      ++ready;
+      while (ready.load() < 4) {
+      }
+      std::uint64_t sink = 0;
+      for (const auto& [s, d] : pairs) {
+        sink += raced.distance(s, d) + raced.nexthops(s, d).size();
+      }
+      EXPECT_GT(sink, 0u);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const igp::IgpState serial = igp::IgpState::compute(topo, &down);
+  EXPECT_TRUE(test::same_rows(raced, serial));
 }
 
 // --- ThreadPool primitives ---------------------------------------------------

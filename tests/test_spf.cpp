@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <queue>
 #include <set>
 
+#include "obs/telemetry.h"
+#include "spf_reference.h"
 #include "topo/builder.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -34,16 +35,16 @@ AsTopology triangle() {
 TEST(Spf, ShortestDistances) {
   const auto topo = triangle();
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.rib(0).distance(0), 0u);
-  EXPECT_EQ(igp.rib(0).distance(1), 1u);
-  EXPECT_EQ(igp.rib(0).distance(2), 2u);  // via b, not the cost-3 direct link
-  EXPECT_EQ(igp.rib(2).distance(0), 2u);
+  EXPECT_EQ(igp.distance(0, 0), 0u);
+  EXPECT_EQ(igp.distance(0, 1), 1u);
+  EXPECT_EQ(igp.distance(0, 2), 2u);  // via b, not the cost-3 direct link
+  EXPECT_EQ(igp.distance(2, 0), 2u);
 }
 
 TEST(Spf, SingleNextHopOnUniquePath) {
   const auto topo = triangle();
   const IgpState igp = IgpState::compute(topo);
-  const auto& nhs = igp.rib(0).nexthops(2);
+  const auto& nhs = igp.nexthops(0, 2);
   ASSERT_EQ(nhs.size(), 1u);
   EXPECT_EQ(nhs[0].neighbor, 1u);
 }
@@ -58,7 +59,7 @@ TEST(Spf, EqualCostDirectAndIndirect) {
   topo.add_link(b, c, ip(103), ip(104), 1);
   topo.add_link(a, c, ip(105), ip(106), 2);
   const IgpState igp = IgpState::compute(topo);
-  const auto& nhs = igp.rib(a).nexthops(c);
+  const auto& nhs = igp.nexthops(a, c);
   ASSERT_EQ(nhs.size(), 2u);
   std::set<RouterId> neighbors;
   for (const auto& nh : nhs) neighbors.insert(nh.neighbor);
@@ -72,7 +73,7 @@ TEST(Spf, ParallelLinksAreDistinctNextHops) {
   topo.add_link(a, b, ip(101), ip(102), 1);
   topo.add_link(a, b, ip(103), ip(104), 1);
   const IgpState igp = IgpState::compute(topo);
-  const auto& nhs = igp.rib(a).nexthops(b);
+  const auto& nhs = igp.nexthops(a, b);
   ASSERT_EQ(nhs.size(), 2u);
   EXPECT_NE(nhs[0].link, nhs[1].link);
   EXPECT_EQ(nhs[0].neighbor, b);
@@ -86,8 +87,8 @@ TEST(Spf, UnequalParallelLinksNotEcmp) {
   topo.add_link(a, b, ip(101), ip(102), 1);
   topo.add_link(a, b, ip(103), ip(104), 2);  // worse bundle member
   const IgpState igp = IgpState::compute(topo);
-  ASSERT_EQ(igp.rib(a).nexthops(b).size(), 1u);
-  EXPECT_EQ(igp.rib(a).nexthops(b)[0].link, 0u);
+  ASSERT_EQ(igp.nexthops(a, b).size(), 1u);
+  EXPECT_EQ(igp.nexthops(a, b)[0].link, 0u);
 }
 
 TEST(Spf, DisconnectedIsUnreachable) {
@@ -95,16 +96,16 @@ TEST(Spf, DisconnectedIsUnreachable) {
   topo.add_router(ip(1), Vendor::kCisco, false);
   topo.add_router(ip(2), Vendor::kCisco, false);
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_FALSE(igp.rib(0).reachable(1));
-  EXPECT_EQ(igp.rib(0).distance(1), kUnreachable);
-  EXPECT_TRUE(igp.rib(0).nexthops(1).empty());
+  EXPECT_FALSE(igp.reachable(0, 1));
+  EXPECT_EQ(igp.distance(0, 1), kUnreachable);
+  EXPECT_TRUE(igp.nexthops(0, 1).empty());
 }
 
 TEST(Spf, SelfDistanceZeroNoNextHops) {
   const auto topo = triangle();
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.rib(1).distance(1), 0u);
-  EXPECT_TRUE(igp.rib(1).nexthops(1).empty());
+  EXPECT_EQ(igp.distance(1, 1), 0u);
+  EXPECT_TRUE(igp.nexthops(1, 1).empty());
 }
 
 TEST(Spf, DiamondEcmp) {
@@ -123,10 +124,10 @@ TEST(Spf, DiamondEcmp) {
   topo.add_link(b, d, ip(105), ip(106), 1);
   topo.add_link(c, d, ip(107), ip(108), 1);
   const IgpState igp = IgpState::compute(topo);
-  EXPECT_EQ(igp.rib(a).nexthops(d).size(), 2u);
+  EXPECT_EQ(igp.nexthops(a, d).size(), 2u);
   EXPECT_EQ(igp.path_count(a, d), 2u);
   // Intermediate routers see a single next hop each.
-  EXPECT_EQ(igp.rib(b).nexthops(d).size(), 1u);
+  EXPECT_EQ(igp.nexthops(b, d).size(), 1u);
 }
 
 TEST(Spf, PathCountMultiplies) {
@@ -170,18 +171,18 @@ TEST_P(SpfProperty, InvariantsHold) {
     for (RouterId d = 0; d < topo.router_count(); ++d) {
       if (s == d) continue;
       // Connected builder output: everything reachable.
-      ASSERT_TRUE(igp.rib(s).reachable(d));
-      const auto dist = igp.rib(s).distance(d);
+      ASSERT_TRUE(igp.reachable(s, d));
+      const auto dist = igp.distance(s, d);
       // Symmetric distances (undirected links, symmetric costs).
-      EXPECT_EQ(dist, igp.rib(d).distance(s));
-      for (const NextHop& nh : igp.rib(s).nexthops(d)) {
+      EXPECT_EQ(dist, igp.distance(d, s));
+      for (const NextHop& nh : igp.nexthops(s, d)) {
         // Every next hop strictly decreases the remaining distance by the
         // traversed link's cost (the ECMP DAG property).
         const auto& link = topo.link(nh.link);
         EXPECT_EQ(link.other(s), nh.neighbor);
-        EXPECT_EQ(igp.rib(nh.neighbor).distance(d) + link.igp_cost, dist);
+        EXPECT_EQ(igp.distance(nh.neighbor, d) + link.igp_cost, dist);
       }
-      EXPECT_FALSE(igp.rib(s).nexthops(d).empty());
+      EXPECT_FALSE(igp.nexthops(s, d).empty());
     }
   }
 }
@@ -190,105 +191,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpfProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// Reference parity: the optimized one-pass SPF must reproduce, byte for
+// Reference parity: the lazy egress-rooted rows must reproduce, byte for
 // byte, what the original per-destination reverse-BFS implementation
-// computed. The reference below is that original algorithm, kept verbatim
-// (modulo the return type) as the ground truth.
+// computed (tests/spf_reference.h keeps it verbatim as the ground truth).
 // ---------------------------------------------------------------------------
 
-struct ReferenceRib {
-  std::vector<std::uint32_t> dist;
-  std::vector<std::vector<NextHop>> nexthops;
-};
-
-struct RefQueueItem {
-  std::uint32_t dist;
-  RouterId router;
-  friend bool operator>(const RefQueueItem& a, const RefQueueItem& b) {
-    return a.dist > b.dist;
-  }
-};
-
-ReferenceRib reference_spf(const AsTopology& topo, RouterId src,
-                           const std::vector<bool>* link_down) {
-  const std::size_t n = topo.router_count();
-  std::vector<std::uint32_t> dist(n, kUnreachable);
-  std::vector<std::vector<topo::LinkId>> predecessors(n);
-  std::priority_queue<RefQueueItem, std::vector<RefQueueItem>,
-                      std::greater<>> pq;
-  dist[src] = 0;
-  pq.push({0, src});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    for (const topo::LinkId lid : topo.links_of(u)) {
-      if (link_down != nullptr && (*link_down)[lid]) continue;
-      const topo::Link& l = topo.link(lid);
-      const RouterId v = l.other(u);
-      const std::uint32_t nd = d + l.igp_cost;
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        predecessors[v].clear();
-        predecessors[v].push_back(lid);
-        pq.push({nd, v});
-      } else if (nd == dist[v]) {
-        predecessors[v].push_back(lid);
-      }
-    }
-  }
-  std::vector<std::vector<NextHop>> nexthops(n);
-  std::vector<std::uint8_t> mark(n, 0);
-  std::vector<RouterId> stack;
-  for (RouterId dst = 0; dst < n; ++dst) {
-    if (dst == src || dist[dst] == kUnreachable) continue;
-    std::fill(mark.begin(), mark.end(), 0);
-    stack.clear();
-    stack.push_back(dst);
-    mark[dst] = 1;
-    std::vector<topo::LinkId> first_links;
-    while (!stack.empty()) {
-      const RouterId v = stack.back();
-      stack.pop_back();
-      for (const topo::LinkId lid : predecessors[v]) {
-        const RouterId u = topo.link(lid).other(v);
-        if (u == src) {
-          first_links.push_back(lid);
-        } else if (!mark[u]) {
-          mark[u] = 1;
-          stack.push_back(u);
-        }
-      }
-    }
-    std::sort(first_links.begin(), first_links.end());
-    first_links.erase(std::unique(first_links.begin(), first_links.end()),
-                      first_links.end());
-    for (const topo::LinkId lid : first_links) {
-      nexthops[dst].push_back(NextHop{lid, topo.link(lid).other(src)});
-    }
-  }
-  return ReferenceRib{std::move(dist), std::move(nexthops)};
-}
-
-// Asserts exact equality — distances AND next-hop sequences in order.
-void expect_matches_reference(const AsTopology& topo, const IgpState& igp,
-                              const std::vector<bool>* link_down) {
-  for (RouterId s = 0; s < topo.router_count(); ++s) {
-    const ReferenceRib ref = reference_spf(topo, s, link_down);
-    const RouterRib rib = igp.rib(s);
-    for (RouterId d = 0; d < topo.router_count(); ++d) {
-      ASSERT_EQ(rib.distance(d), ref.dist[d])
-          << "dist mismatch src=" << s << " dst=" << d;
-      const auto nhs = rib.nexthops(d);
-      ASSERT_EQ(nhs.size(), ref.nexthops[d].size())
-          << "ECMP width mismatch src=" << s << " dst=" << d;
-      for (std::size_t i = 0; i < nhs.size(); ++i) {
-        ASSERT_EQ(nhs[i], ref.nexthops[d][i])
-            << "next hop mismatch src=" << s << " dst=" << d << " i=" << i;
-      }
-    }
-  }
-}
+using test::expect_matches_reference;
+using test::with_costs;
 
 AsTopology random_topology(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -305,39 +214,71 @@ AsTopology random_topology(std::uint64_t seed) {
   return topo::build_as_topology(params, rng);
 }
 
+std::vector<bool> random_down(const AsTopology& topo, util::Rng& rng,
+                              std::uint64_t one_in) {
+  std::vector<bool> down(topo.link_count(), false);
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    down[l] = rng.below(one_in) == 0;
+  }
+  return down;
+}
+
+// A cycle overlay: a few links down, a few metrics re-priced.
+LinkOverlay random_overlay(const AsTopology& topo, util::Rng& rng) {
+  LinkOverlay overlay;
+  overlay.down.assign(topo.link_count(), false);
+  overlay.cost.assign(topo.link_count(), 0);
+  for (std::size_t l = 0; l < topo.link_count(); ++l) {
+    const std::uint64_t draw = rng.below(20);
+    if (draw == 0) overlay.down[l] = true;
+    if (draw == 1 || draw == 2) {
+      overlay.cost[l] = 1 + static_cast<std::uint32_t>(rng.below(12));
+    }
+  }
+  return overlay;
+}
+
+std::uint64_t rows_computed() {
+  return obs::registry().counter("igp.spf_rows_computed").value();
+}
+
 class SpfReferenceParity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SpfReferenceParity, FullTopology) {
   const AsTopology topo = random_topology(GetParam());
-  expect_matches_reference(topo, IgpState::compute(topo), nullptr);
+  expect_matches_reference(topo, IgpState::compute(topo), nullptr,
+                           GetParam());
 }
 
 TEST_P(SpfReferenceParity, WithDownedLinks) {
   const AsTopology topo = random_topology(GetParam());
   util::Rng rng(GetParam() * 7919 + 1);
-  std::vector<bool> down(topo.link_count(), false);
   // Down ~10% of links: may partition the topology, which the parity check
   // must handle (unreachable destinations on both sides).
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    down[l] = rng.below(10) == 0;
-  }
-  expect_matches_reference(topo, IgpState::compute(topo, &down), &down);
+  const std::vector<bool> down = random_down(topo, rng, 10);
+  expect_matches_reference(topo, IgpState::compute(topo, &down), &down,
+                           GetParam() + 1);
 }
 
+// The state after intra-month failures on top of a cycle overlay (down
+// links plus re-priced metrics) equals the reference's full recompute on
+// the overlay-priced topology under the union down mask, for several random
+// failure sets per topology.
 TEST_P(SpfReferenceParity, ReconvergeMatchesFullRecompute) {
   const AsTopology topo = random_topology(GetParam());
-  const IgpState baseline = IgpState::compute(topo);
   util::Rng rng(GetParam() * 104729 + 3);
-  std::vector<bool> down(topo.link_count(), false);
-  for (std::size_t l = 0; l < topo.link_count(); ++l) {
-    down[l] = rng.below(12) == 0;
+  for (int round = 0; round < 3; ++round) {
+    const LinkOverlay overlay = random_overlay(topo, rng);
+    const std::vector<bool> failed = random_down(topo, rng, 12);
+    std::vector<bool> all_down = failed;
+    for (std::size_t l = 0; l < all_down.size(); ++l) {
+      if (overlay.down[l]) all_down[l] = true;
+    }
+    const IgpState igp = IgpState::compute(topo, &failed, &overlay);
+    EXPECT_EQ(igp.link_down(), all_down);
+    expect_matches_reference(with_costs(topo, overlay), igp, &all_down,
+                             GetParam() * 10 + round);
   }
-  IgpState::ReconvergeStats stats;
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, nullptr,
-                                            &stats);
-  EXPECT_EQ(stats.sources_total, topo.router_count());
-  EXPECT_LE(stats.sources_recomputed, stats.sources_total);
-  expect_matches_reference(topo, inc, &down);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfReferenceParity,
@@ -362,36 +303,64 @@ TEST(SpfReferenceParity, UnreachablePartition) {
   link(r[3], r[5], 2);
   const IgpState igp = IgpState::compute(topo);
   expect_matches_reference(topo, igp, nullptr);
-  EXPECT_FALSE(igp.rib(r[0]).reachable(r[3]));
-  EXPECT_TRUE(igp.rib(r[0]).nexthops(r[3]).empty());
+  EXPECT_FALSE(igp.reachable(r[0], r[3]));
+  EXPECT_TRUE(igp.nexthops(r[0], r[3]).empty());
+}
+
+// A router added after the rest of the AS (the forwarder's unreachable-
+// egress case): reachability comes from component labels and forces no
+// row; the island's own row is all-unreachable except itself.
+TEST(Spf, ReachableAcrossIslands) {
+  AsTopology topo = triangle();
+  const RouterId island = topo.add_router(ip(9), Vendor::kCisco, true);
+  const IgpState igp = IgpState::compute(topo);
+  const std::uint64_t before = rows_computed();
+  for (RouterId s = 0; s < topo.router_count(); ++s) {
+    for (RouterId d = 0; d < topo.router_count(); ++d) {
+      EXPECT_EQ(igp.reachable(s, d), (s == island) == (d == island))
+          << s << " -> " << d;
+    }
+  }
+  EXPECT_EQ(rows_computed(), before);
+  EXPECT_TRUE(igp.nexthops(0, island).empty());
+  EXPECT_EQ(igp.distance(0, island), kUnreachable);
+  EXPECT_EQ(igp.distance(island, island), 0u);
+  EXPECT_EQ(rows_computed(), before + 1);  // the island's row only
+  expect_matches_reference(topo, igp, nullptr);
 }
 
 // ---------------------------------------------------------------------------
-// Incremental reconvergence: only sources whose shortest-path DAG uses a
-// downed link may be recomputed.
+// Post-failure states: building one computes no row, and every row it
+// computes on demand equals the reference.
 // ---------------------------------------------------------------------------
 
 TEST(SpfReconverge, UnusedLinkRecomputesNothing) {
-  // triangle(): the a--c cost-3 link carries no shortest path from any
-  // source (a-b-c costs 2), so downing it must leave every RIB row as a
-  // baseline copy.
+  // triangle(): the a--c cost-3 link carries no shortest path, so downing
+  // it changes no row. Building the post-failure state computes no row at
+  // all; only queried destinations do.
   const AsTopology topo = triangle();
   const IgpState baseline = IgpState::compute(topo);
   std::vector<bool> down(topo.link_count(), false);
   down[2] = true;  // the cost-3 a--c link
-  IgpState::ReconvergeStats stats;
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, nullptr,
-                                            &stats);
-  EXPECT_EQ(stats.sources_total, 3u);
-  EXPECT_EQ(stats.sources_recomputed, 0u);
-  expect_matches_reference(topo, inc, &down);
+  const std::uint64_t before = rows_computed();
+  const IgpState failed = IgpState::compute(topo, &down);
+  EXPECT_EQ(rows_computed(), before);
+  for (RouterId s = 0; s < 3; ++s) {
+    for (RouterId d = 0; d < 3; ++d) {
+      EXPECT_EQ(failed.distance(s, d), baseline.distance(s, d));
+      const auto a = failed.nexthops(s, d);
+      const auto b = baseline.nexthops(s, d);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    }
+  }
+  EXPECT_EQ(rows_computed(), before + 6);  // 3 rows in each state
+  expect_matches_reference(topo, failed, &down);
 }
 
 TEST(SpfReconverge, FailureIsolatedToItsComponent) {
-  // Two disconnected triangles; failing the r0--r1 edge of the first must
-  // only recompute r0 and r1: from r2 both neighbours are reached over the
-  // direct links, so the failed edge carries none of r2's shortest paths,
-  // and triangle B is untouched entirely.
+  // Two disconnected triangles; failing the r0--r1 edge of the first.
+  // Routing toward triangle B computes only triangle-B rows, and every row
+  // matches the reference.
   AsTopology topo(1);
   std::vector<RouterId> r;
   for (std::uint32_t i = 0; i < 6; ++i) {
@@ -407,35 +376,33 @@ TEST(SpfReconverge, FailureIsolatedToItsComponent) {
   link(r[3], r[4]);
   link(r[4], r[5]);
   link(r[3], r[5]);
-  const IgpState baseline = IgpState::compute(topo);
   std::vector<bool> down(topo.link_count(), false);
   down[0] = true;
-  IgpState::ReconvergeStats stats;
-  const IgpState inc = IgpState::reconverge(topo, baseline, down, nullptr,
-                                            &stats);
-  EXPECT_EQ(stats.sources_total, 6u);
-  EXPECT_EQ(stats.sources_recomputed, 2u);  // r0 and r1 only
-  expect_matches_reference(topo, inc, &down);
+  const IgpState igp = IgpState::compute(topo, &down);
+  const std::uint64_t before = rows_computed();
+  for (const RouterId d : {r[3], r[4], r[5]}) {
+    EXPECT_FALSE(igp.reachable(r[0], d));
+    EXPECT_EQ(igp.nexthops(r[4], d).size(), d == r[4] ? 0u : 1u);
+  }
+  EXPECT_EQ(rows_computed(), before + 3);
+  EXPECT_EQ(igp.distance(r[0], r[1]), 2u);  // around via r2
+  expect_matches_reference(topo, igp, &down);
 }
 
 TEST(SpfReconverge, ParallelOutputMatchesSerial) {
+  // Rows first touched from 4 pool workers, one destination each, equal
+  // the rows a serial fill computes.
   const AsTopology topo = random_topology(14);
-  const IgpState baseline = IgpState::compute(topo);
   std::vector<bool> down(topo.link_count(), false);
   down[1] = true;
   down[topo.link_count() - 2] = true;
+  const IgpState serial = IgpState::compute(topo, &down);
+  const IgpState parallel = IgpState::compute(topo, &down);
   util::ThreadPool pool(4);
-  const IgpState serial = IgpState::reconverge(topo, baseline, down);
-  const IgpState parallel =
-      IgpState::reconverge(topo, baseline, down, &pool);
-  for (RouterId s = 0; s < topo.router_count(); ++s) {
-    for (RouterId d = 0; d < topo.router_count(); ++d) {
-      ASSERT_EQ(serial.rib(s).distance(d), parallel.rib(s).distance(d));
-      const auto a = serial.rib(s).nexthops(d);
-      const auto b = parallel.rib(s).nexthops(d);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-    }
-  }
+  util::parallel_for(&pool, topo.router_count(), [&](std::size_t d) {
+    parallel.distance(0, static_cast<RouterId>(d));
+  });
+  EXPECT_TRUE(test::same_rows(serial, parallel));
 }
 
 // ---------------------------------------------------------------------------

@@ -12,10 +12,15 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
+#include <stdexcept>
+#include <streambuf>
+#include <string_view>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/log.h"
 #include "run/checkpoint.h"
 #include "run/runner.h"
 
@@ -323,6 +328,67 @@ TEST_F(SupervisionRun, InjectedCycleFailureBurnsEveryAttempt) {
   no_retry.retries = 0;
   const auto baseline = run::Runner(no_retry).run_all_contained();
   EXPECT_EQ(outcome.report.to_json(), baseline.report.to_json());
+}
+
+// Log sink that turns the first "checkpoint write failed" warning into an
+// exception escaping the cycle, then silences logging so the retry's own
+// warnings never touch the (now bad) stream: a one-off failure after the
+// month was probed, as an allocation or system error would be.
+class FailFirstWriteWarning : public std::streambuf {
+ public:
+  struct Injected : std::runtime_error {
+    Injected() : std::runtime_error("injected post-probe failure") {}
+  };
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    if (!fired_ &&
+        std::string_view(s, static_cast<std::size_t>(n))
+                .find("checkpoint write failed") != std::string_view::npos) {
+      fired_ = true;
+      obs::set_log_level(obs::LogLevel::kSilent);
+      throw Injected();
+    }
+    return n;
+  }
+  int overflow(int c) override { return c; }
+
+ private:
+  bool fired_ = false;
+};
+
+TEST_F(SupervisionRun, RetryAfterProbedAttemptMatchesCleanReport) {
+  // Every data-shard write hits ENOSPC (never retried at the op level), so
+  // the cycle's first shard write fails right after the month was probed
+  // and its warning throws. The retried attempt must see a freshly settled
+  // month, not the one attempt 0 left behind. The default world: the tiny
+  // one's reports are too small to show a replayed month.
+  run::RunnerConfig base;
+  base.first_cycle = 10;
+  base.last_cycle = 10;
+  base.threads = 1;
+  const auto clean = run::Runner(base).run_all_contained();
+  auto config = base;
+  config.checkpoint_dir = dir_.string();
+  config.checkpoint_data = true;
+  config.chaos.io.enospc = 1.0;
+  config.retries = 1;
+  config.retry_backoff_ms = 0;
+
+  FailFirstWriteWarning buf;
+  std::ostream sink(&buf);
+  sink.exceptions(std::ios::badbit);  // let the injected exception out
+  const obs::LogLevel level = obs::log_level();
+  obs::set_log_level(obs::LogLevel::kWarn);
+  obs::set_log_sink(&sink);
+  const auto outcome = run::Runner(config).run_all_contained();
+  obs::set_log_sink(&std::cerr);
+  obs::set_log_level(level);
+
+  ASSERT_EQ(outcome.manifest.cycles.size(), 1u);
+  EXPECT_EQ(outcome.manifest.cycles[0].attempts, 2);
+  EXPECT_EQ(outcome.manifest.cycles[0].outcome, run::CycleOutcome::kOk);
+  EXPECT_EQ(outcome.report.to_json(), clean.report.to_json());
 }
 
 TEST_F(SupervisionRun, SlowIoPastDeadlineRecordsTimedOut) {
