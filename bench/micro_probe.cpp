@@ -7,9 +7,11 @@
 // operator-new counting hook; scripts/bench.sh gates both against absolute
 // bounds taken from the heap-trace path's committed BENCH_PR9.json row.
 // BM_CampaignSnapshotBatch additionally times the full snapshot (routing +
-// walk included) as ungated context.
+// walk included) and BM_RoutePlansDefaultWorld every route plan of the
+// default world, both as ungated context.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -101,7 +103,7 @@ struct Corpus {
     const int per_monitor = internet.config().dests_per_monitor;
     const int overlap = std::max(1, internet.config().dest_overlap);
     by_monitor.resize(monitors.size());
-    gen::Internet::PathScratch scratch;
+    probe::PathSpec path;
     for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
       int probed = 0;
       for (int o = 0; o < overlap && probed < per_monitor; ++o) {
@@ -111,17 +113,17 @@ struct Corpus {
         const int per_dest = std::max(1, internet.config().probes_per_dest);
         for (std::size_t d = lane; d < dests.size() && probed < per_monitor;
              d += monitors.size(), ++probed) {
+          const gen::RoutePlan plan =
+              internet.route_plan(monitors[mi], dests[d].asn);
           for (int pp = 0; pp < per_dest; ++pp) {
             gen::Destination dest = dests[d];
             dest.addr = net::Ipv4Addr(dest.addr.value() +
                                       static_cast<std::uint32_t>(pp) * 128);
-            if (!internet.path_spec(monitors[mi], dest, ctx, scratch)) {
-              continue;
-            }
+            if (!internet.path_spec(plan, dest, ctx, path)) continue;
             ProbeInput probe;
             probe.dst = dest.addr;
             probe.walk = probe::walk_path(
-                scratch.path, probe::paris_flow_id(monitors[mi], dest.addr));
+                path, probe::paris_flow_id(monitors[mi], dest.addr));
             by_monitor[mi].push_back(std::move(probe));
           }
         }
@@ -217,6 +219,38 @@ void BM_CampaignSnapshotBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(traces));
 }
 BENCHMARK(BM_CampaignSnapshotBatch)->Unit(benchmark::kMillisecond);
+
+// Context (not gated): every route plan of the default world, the work a
+// campaign runner front-loads into its first cycle — one valley-free
+// AS route and one plan per (monitor, destination AS). Compare with one
+// default-study cycle (~150 ms at 1 thread) to see that plans stay a
+// negligible share of it.
+void BM_RoutePlansDefaultWorld(benchmark::State& state) {
+  const gen::Internet internet{gen::GenConfig{}};
+  std::vector<std::uint32_t> dst_asns;
+  for (const gen::Destination& dest : internet.destinations()) {
+    dst_asns.push_back(dest.asn);
+  }
+  std::sort(dst_asns.begin(), dst_asns.end());
+  dst_asns.erase(std::unique(dst_asns.begin(), dst_asns.end()),
+                 dst_asns.end());
+
+  std::size_t plans = 0;
+  for (auto _ : state) {
+    plans = 0;
+    for (const probe::Monitor& monitor : internet.monitors()) {
+      for (const std::uint32_t asn : dst_asns) {
+        const gen::RoutePlan plan = internet.route_plan(monitor, asn);
+        plans += plan.routable() ? 1 : 0;
+        benchmark::DoNotOptimize(plan.segments.data());
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(plans));
+  state.SetLabel(std::to_string(plans) + " plans");
+}
+BENCHMARK(BM_RoutePlansDefaultWorld)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,7 @@
 #include "core/extract.h"
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -10,38 +12,95 @@ namespace {
 using AddrSet = std::unordered_set<net::Ipv4Addr>;
 using AsAddrSets = std::unordered_map<std::uint32_t, AddrSet>;
 
-// Majority ASN of the labeled run; 0 when hops map to no AS at all.
-std::uint32_t run_asn(const dataset::TraceView& t, std::size_t first,
-                      std::size_t last) {
-  std::unordered_map<std::uint32_t, int> votes;
-  for (std::size_t i = first; i <= last; ++i) {
-    const std::uint32_t asn = t.hop(i).asn();
-    if (asn != dataset::kUnknownAsn) ++votes[asn];
+// Responding addresses, each with an "inside a labeled run" bit: open
+// addressing over (addr << 1) | labeled words, the bit OR-ed on every
+// sighting. Address 0 (the anonymous-hop sentinel) never enters, so a zero
+// word marks an empty slot.
+class AddrCensus {
+ public:
+  // Sized so `expected` addresses fit without growing.
+  explicit AddrCensus(std::size_t expected = 0) {
+    unsigned bits = kMinBits;
+    while ((std::size_t{1} << bits) < 2 * expected) ++bits;
+    slots_.assign(std::size_t{1} << bits, 0);
+    shift_ = 32 - bits;
   }
-  std::uint32_t best = 0;
-  int best_votes = 0;
-  for (const auto& [asn, n] : votes) {
-    if (n > best_votes) {
-      best = asn;
-      best_votes = n;
+
+  void add(std::uint64_t word) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    const auto addr = static_cast<std::uint32_t>(word >> 1);
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing, high bits (see dataset::AsnCache).
+    for (std::size_t i = (addr * 0x9E3779B9u) >> shift_;; i = (i + 1) & mask) {
+      std::uint64_t& slot = slots_[i];
+      if (slot == 0) {
+        slot = word;
+        ++used_;
+        return;
+      }
+      if ((slot >> 1) == addr) {
+        slot |= word & 1;
+        return;
+      }
     }
   }
-  return best;
-}
+  void add(std::uint32_t addr, bool labeled) {
+    add((std::uint64_t{addr} << 1) | std::uint64_t{labeled});
+  }
 
-// True when every mapped hop of the run has ASN `asn`.
-bool run_is_intra_as(const dataset::TraceView& t, std::size_t first,
-                     std::size_t last, std::uint32_t asn) {
+  // Every address's word, in slot order.
+  std::vector<std::uint64_t> words() const {
+    std::vector<std::uint64_t> out;
+    out.reserve(used_);
+    for (const std::uint64_t slot : slots_) {
+      if (slot != 0) out.push_back(slot);
+    }
+    return out;
+  }
+
+  std::size_t size() const noexcept { return used_; }
+  std::size_t labeled() const noexcept {
+    std::size_t n = 0;
+    for (const std::uint64_t slot : slots_) n += slot & 1;
+    return n;
+  }
+
+ private:
+  static constexpr unsigned kMinBits = 12;
+
+  void grow() {
+    std::vector<std::uint64_t> old = std::move(slots_);
+    slots_.assign(old.size() * 2, 0);
+    --shift_;
+    used_ = 0;
+    for (const std::uint64_t slot : old) {
+      if (slot != 0) add(slot);
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t used_ = 0;
+  unsigned shift_ = 32 - kMinBits;
+};
+
+// The one ASN every mapped hop of the labeled run agrees on; 0 when the
+// run maps to no AS, or to two or more — multi-AS runs carry asn=0 so the
+// IntraAS filter rejects them, whatever the hop majority.
+std::uint32_t run_asn(const dataset::TraceView& t, std::size_t first,
+                      std::size_t last) {
+  std::uint32_t asn = dataset::kUnknownAsn;
   for (std::size_t i = first; i <= last; ++i) {
     const std::uint32_t hop_asn = t.hop(i).asn();
-    if (hop_asn != dataset::kUnknownAsn && hop_asn != asn) return false;
+    if (hop_asn == dataset::kUnknownAsn || hop_asn == asn) continue;
+    if (asn != dataset::kUnknownAsn) return 0;
+    asn = hop_asn;
   }
-  return true;
+  return asn;
 }
 
 void extract_from_trace(const dataset::TraceView& t,
-                        const dataset::Ip2As& ip2as, ExtractedSnapshot& out,
-                        AddrSet& mpls_addrs, AddrSet& all_addrs) {
+                        const dataset::Ip2As& ip2as, ExtractedBlock& out,
+                        AddrCensus& census) {
   ++out.stats.traces_total;
   bool saw_tunnel = false;
 
@@ -49,8 +108,10 @@ void extract_from_trace(const dataset::TraceView& t,
   const auto anonymous = [&](std::size_t k) { return t.hop(k).anonymous(); };
   const auto has_labels = [&](std::size_t k) { return t.hop(k).has_labels(); };
   const auto addr = [&](std::size_t k) { return t.hop(k).addr(); };
+  // The responding hops inside labeled runs are exactly the labeled ones:
+  // a run extends only over labeled hops and '*'s wedged between them.
   for (std::size_t k = 0; k < n; ++k) {
-    if (!anonymous(k)) all_addrs.insert(addr(k));
+    if (!anonymous(k)) census.add(addr(k).value(), has_labels(k));
   }
 
   std::size_t i = 0;
@@ -80,9 +141,6 @@ void extract_from_trace(const dataset::TraceView& t,
 
     saw_tunnel = true;
     ++out.stats.lsps_observed;
-    for (std::size_t k = first; k <= last; ++k) {
-      if (!anonymous(k)) mpls_addrs.insert(addr(k));
-    }
 
     // Completeness: need both endpoint hops, responding, and no '*' inside.
     const bool has_ingress = first > 0 && !anonymous(first - 1);
@@ -92,13 +150,11 @@ void extract_from_trace(const dataset::TraceView& t,
       continue;
     }
 
-    const std::uint32_t asn = run_asn(t, first, last);
     LspObservation obs;
     obs.dst_asn = t.dst_asn() != 0 ? t.dst_asn() : ip2as.lookup(t.dst());
     obs.monitor_id = t.monitor_id();
     obs.lsp.ingress = addr(first - 1);
-    // Mark multi-AS runs with asn=0 so the IntraAS filter rejects them.
-    obs.lsp.asn = run_is_intra_as(t, first, last, asn) ? asn : 0;
+    obs.lsp.asn = run_asn(t, first, last);
 
     // Exit point: the hop after the run when it still belongs to the
     // tunnel's AS (PHP), else the last labeled hop (non-PHP egress).
@@ -136,24 +192,51 @@ ExtractStats& ExtractStats::merge(const ExtractStats& other) noexcept {
   return *this;
 }
 
+ExtractedBlock extract_block(const dataset::TraceBatch& traces,
+                             const dataset::Ip2As& ip2as) {
+  ExtractedBlock out;
+  AddrCensus census;
+  for (std::size_t i = 0; i < traces.trace_count(); ++i) {
+    extract_from_trace(traces.view(i), ip2as, out, census);
+  }
+  out.census = census.words();
+  return out;
+}
+
+ExtractedSnapshot stitch_blocks(std::uint32_t cycle_id,
+                                std::uint32_t sub_index, std::string date,
+                                std::vector<ExtractedBlock>& blocks) {
+  ExtractedSnapshot out;
+  out.cycle_id = cycle_id;
+  out.sub_index = sub_index;
+  out.date = std::move(date);
+
+  std::size_t observations = 0, words = 0;
+  for (const ExtractedBlock& block : blocks) {
+    observations += block.observations.size();
+    words += block.census.size();
+  }
+  out.observations.reserve(observations);
+  // Census union: an address shared by blocks counts once, as MPLS when
+  // any block saw it inside a labeled run.
+  AddrCensus census(words);
+  for (ExtractedBlock& block : blocks) {
+    out.stats.merge(block.stats);
+    std::move(block.observations.begin(), block.observations.end(),
+              std::back_inserter(out.observations));
+    for (const std::uint64_t word : block.census) census.add(word);
+  }
+  out.stats.mpls_ips = census.labeled();
+  out.stats.non_mpls_ips = census.size() - out.stats.mpls_ips;
+  return out;
+}
+
 ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
                                const dataset::Ip2As& ip2as) {
-  ExtractedSnapshot out;
-  out.cycle_id = snapshot.cycle_id;
-  out.sub_index = snapshot.sub_index;
-  out.date = snapshot.date;
-
-  AddrSet mpls_addrs;
-  AddrSet all_addrs;
-  for (std::size_t i = 0; i < snapshot.trace_count(); ++i) {
-    extract_from_trace(snapshot.traces.view(i), ip2as, out, mpls_addrs,
-                       all_addrs);
-  }
-  out.stats.mpls_ips = mpls_addrs.size();
-  for (const auto& addr : all_addrs) {
-    if (!mpls_addrs.contains(addr)) ++out.stats.non_mpls_ips;
-  }
-  return out;
+  std::vector<ExtractedBlock> blocks;
+  blocks.push_back(extract_block(snapshot.traces, ip2as));
+  return stitch_blocks(snapshot.cycle_id, snapshot.sub_index, snapshot.date,
+                       blocks);
 }
 
 std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(

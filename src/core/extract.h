@@ -37,7 +37,8 @@ struct ExtractStats {
 
   // Deterministic accumulation across workers / snapshots: every counter is
   // summed. Note the ip counters are unique *within* each operand only —
-  // merged totals over shards that may share addresses are upper bounds.
+  // merged totals over shards that may share addresses are upper bounds
+  // (stitch_blocks takes the exact union within a snapshot instead).
   ExtractStats& merge(const ExtractStats& other) noexcept;
 };
 
@@ -49,10 +50,38 @@ struct ExtractedSnapshot {
   ExtractStats stats;
 };
 
-// Extract all complete explicit LSPs from an annotated snapshot, walking
-// its columns through TraceView/HopView. Traces must have been annotated
-// with Ip2As first (hop ASNs are consumed here); the `ip2as` reference is
-// used for endpoint resolution of unmapped destinations.
+// The extraction of one block of a snapshot's traces — a monitor's block
+// inside the campaign fan-out, or a whole snapshot taken as one block.
+// `stats` carries the block's trace and LSP counters; its unique-address
+// counters stay 0, because uniqueness is a property of the snapshot:
+// stitch_blocks settles them from `census`.
+struct ExtractedBlock {
+  std::vector<LspObservation> observations;
+  ExtractStats stats;
+  // The block's unique responding addresses, one word each, in no
+  // particular order: (addr << 1) | 1 when the address appears inside a
+  // labeled run, (addr << 1) otherwise.
+  std::vector<std::uint64_t> census;
+};
+
+// Extract all complete explicit LSPs from an annotated block, walking its
+// columns through TraceView/HopView. Traces must have been annotated with
+// Ip2As first (hop ASNs are consumed here); the `ip2as` reference is used
+// for endpoint resolution of unmapped destinations. Reads nothing outside
+// the block, so blocks extract concurrently.
+ExtractedBlock extract_block(const dataset::TraceBatch& traces,
+                             const dataset::Ip2As& ip2as);
+
+// One snapshot from its blocks, given in monitor order (consumed):
+// observations are concatenated, counters summed, and the unique-address
+// counters taken over the union of the blocks' censuses — an address
+// labeled in any block counts as MPLS. Equals extract_lsps over the
+// snapshot that merges the same blocks.
+ExtractedSnapshot stitch_blocks(std::uint32_t cycle_id,
+                                std::uint32_t sub_index, std::string date,
+                                std::vector<ExtractedBlock>& blocks);
+
+// Extract a materialized snapshot: its traces as one block, stitched.
 ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
                                const dataset::Ip2As& ip2as);
 

@@ -22,8 +22,8 @@
 //
 // Arena ownership: a default-constructed batch owns a private arena; the
 // borrowing constructor carves from a caller-owned arena that the caller
-// resets between uses (the per-monitor shard pattern in
-// gen::CampaignRunner::snapshot — steady state allocates nothing).
+// resets between uses (the per-monitor shard pattern in the
+// gen::CampaignRunner fan-out — steady state allocates nothing).
 // Only trivially-copyable column data lives in the arena, so moving a batch
 // is a pointer copy and dropping one runs no per-trace destructors. Column
 // growth abandons the old block in the arena, so writers that know their

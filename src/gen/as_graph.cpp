@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <mutex>
 
 namespace mum::gen {
 
@@ -16,13 +15,11 @@ void AsGraph::add_provider_customer(std::uint32_t provider,
                                     std::uint32_t customer) {
   nodes_[index_of(provider)].customers.push_back(customer);
   nodes_[index_of(customer)].providers.push_back(provider);
-  cache_.clear();
 }
 
 void AsGraph::add_peer_peer(std::uint32_t a, std::uint32_t b) {
   nodes_[index_of(a)].peers.push_back(b);
   nodes_[index_of(b)].peers.push_back(a);
-  cache_.clear();
 }
 
 const AsNode& AsGraph::as_node(std::uint32_t asn) const {
@@ -33,15 +30,7 @@ bool AsGraph::contains(std::uint32_t asn) const {
   return index_.contains(asn);
 }
 
-const AsGraph::DestTables& AsGraph::tables_for(std::uint32_t dst) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-    const auto cached = cache_.find(dst);
-    if (cached != cache_.end()) return cached->second;
-  }
-  // Compute outside the lock: concurrent misses on the same destination
-  // redundantly compute identical tables; try_emplace keeps the first.
-
+AsGraph::DestTables AsGraph::tables_for(std::uint32_t dst) const {
   const std::size_t n = nodes_.size();
   DestTables t;
   t.down.assign(n, kUnreach);
@@ -98,36 +87,26 @@ const AsGraph::DestTables& AsGraph::tables_for(std::uint32_t dst) const {
     }
   }
 
-  std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-  return cache_.try_emplace(dst, std::move(t)).first->second;
+  return t;
 }
 
 std::vector<std::uint32_t> AsGraph::route(std::uint32_t src,
                                           std::uint32_t dst) const {
-  std::vector<std::uint32_t> path;
-  route(src, dst, path);
-  return path;
+  if (src == dst) return {src};
+  return walk(src, dst, tables_for(dst));
 }
 
-void AsGraph::route(std::uint32_t src, std::uint32_t dst,
-                    std::vector<std::uint32_t>& path) const {
-  path.clear();
-  if (src == dst) {
-    path.push_back(src);
-    return;
-  }
-  const DestTables& t = tables_for(dst);
-
+std::vector<std::uint32_t> AsGraph::walk(std::uint32_t src,
+                                         std::uint32_t dst,
+                                         const DestTables& t) const {
+  std::vector<std::uint32_t> path;
   path.push_back(src);
   // Phase encodes where we are in the valley-free walk:
   // 0 = may still climb providers, 1 = peer edge used / descending only.
   int phase = 0;
   std::size_t at = index_of(src);
   while (nodes_[at].asn != dst) {
-    if (path.size() > nodes_.size()) {  // safety: no route
-      path.clear();
-      return;
-    }
+    if (path.size() > nodes_.size()) return {};  // safety: no route
 
     // Candidate next hops with the metric they would leave us with,
     // preferring customer > peer > provider on equal totals.
@@ -169,20 +148,19 @@ void AsGraph::route(std::uint32_t src, std::uint32_t dst,
       }
     }
 
-    if (best_next == ~std::size_t{0}) {  // unreachable
-      path.clear();
-      return;
-    }
+    if (best_next == ~std::size_t{0}) return {};  // unreachable
     at = best_next;
     phase = best_phase;
     path.push_back(nodes_[at].asn);
   }
+  return path;
 }
 
 bool AsGraph::fully_connected() const {
-  for (const std::uint32_t src : order_) {
-    for (const std::uint32_t dst : order_) {
-      if (src != dst && route(src, dst).empty()) return false;
+  for (const std::uint32_t dst : order_) {
+    const DestTables t = tables_for(dst);
+    for (const std::uint32_t src : order_) {
+      if (src != dst && walk(src, dst, t).empty()) return false;
     }
   }
   return true;

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,22 +29,6 @@ struct AsNode {
 
 class AsGraph {
  public:
-  AsGraph() = default;
-  // Movable despite the cache mutex: moving is a mutation, so it must not
-  // race with concurrent route() calls anyway — the mutex itself stays put.
-  AsGraph(AsGraph&& other) noexcept
-      : nodes_(std::move(other.nodes_)),
-        order_(std::move(other.order_)),
-        index_(std::move(other.index_)),
-        cache_(std::move(other.cache_)) {}
-  AsGraph& operator=(AsGraph&& other) noexcept {
-    nodes_ = std::move(other.nodes_);
-    order_ = std::move(other.order_);
-    index_ = std::move(other.index_);
-    cache_ = std::move(other.cache_);
-    return *this;
-  }
-
   // Adds a node; ASN must be unique.
   void add_as(AsNode node);
   // Relationship edges (no duplicate checking; caller ensures sanity).
@@ -59,14 +42,12 @@ class AsGraph {
 
   // Valley-free AS path from src to dst (inclusive); empty when unreachable.
   // Preference: customer route > peer route > provider route, then shortest,
-  // then lowest-ASN tie-break — memoized per destination. Safe to call
-  // concurrently (the memo cache is lock-guarded); mutation via add_* must
+  // then lowest-ASN tie-break. Each call derives the destination's tables
+  // afresh: routes are computed once per (monitor, destination AS) route
+  // plan (gen::RoutePlan), never per probe, so nothing is memoized. Const
+  // and stateless, so safe to call concurrently; mutation via add_* must
   // not race with route().
   std::vector<std::uint32_t> route(std::uint32_t src, std::uint32_t dst) const;
-  // Scratch-reusing form: clears and refills `out` (capacity kept) — the
-  // per-probe hot path. Same result as the returning overload.
-  void route(std::uint32_t src, std::uint32_t dst,
-             std::vector<std::uint32_t>& out) const;
 
   // True when every AS can reach every other AS.
   bool fully_connected() const;
@@ -80,14 +61,15 @@ class AsGraph {
   };
   static constexpr std::uint32_t kUnreach = ~std::uint32_t{0};
 
-  const DestTables& tables_for(std::uint32_t dst) const;
+  DestTables tables_for(std::uint32_t dst) const;
+  // The valley-free walk from src over dst's tables; empty when unreachable.
+  std::vector<std::uint32_t> walk(std::uint32_t src, std::uint32_t dst,
+                                  const DestTables& t) const;
   std::size_t index_of(std::uint32_t asn) const { return index_.at(asn); }
 
   std::vector<AsNode> nodes_;
   std::vector<std::uint32_t> order_;
   std::unordered_map<std::uint32_t, std::size_t> index_;
-  mutable std::shared_mutex cache_mutex_;
-  mutable std::unordered_map<std::uint32_t, DestTables> cache_;
 };
 
 }  // namespace mum::gen

@@ -242,6 +242,8 @@ Internet::Internet(const GenConfig& config, util::ThreadPool* /*pool*/)
   build_graph(rng);
   build_topologies(rng);
   place_monitors_and_destinations(rng);
+  std::size_t index = 0;
+  for (auto& [asn, as] : modeled_) as->index = index++;
 }
 
 void Internet::build_graph(util::Rng& rng_in) {
@@ -864,44 +866,26 @@ MonthContext Internet::instantiate(int cycle, int day_of_month,
     built[i] = std::move(planes);
   });
   for (std::size_t i = 0; i < asns.size(); ++i) {
+    ctx.by_index_.push_back(built[i].get());
     ctx.planes_.emplace(asns[i], std::move(built[i]));
   }
   ctx.apply_flaps(/*sub_index=*/0, config_.ecmp_flap_prob);
   return ctx;
 }
 
-std::optional<probe::PathSpec> Internet::path_spec(
-    const probe::Monitor& monitor, const Destination& dest,
-    const MonthContext& ctx) const {
-  PathScratch scratch;
-  if (!path_spec(monitor, dest, ctx, scratch)) return std::nullopt;
-  return std::move(scratch.path);
-}
-
-bool Internet::path_spec(const probe::Monitor& monitor,
-                         const Destination& dest, const MonthContext& ctx,
-                         PathScratch& scratch) const {
+RoutePlan Internet::route_plan(const probe::Monitor& monitor,
+                               std::uint32_t dst_asn) const {
+  RoutePlan plan;
   const std::uint32_t src_asn = monitor_asn_.at(monitor.id);
-  std::vector<std::uint32_t>& as_path = scratch.as_path;
-  graph_.route(src_asn, dest.asn, as_path);
-  if (as_path.empty()) return false;
-
-  probe::PathSpec& path = scratch.path;
-  path.pre_hops.clear();
-  path.segments.clear();
-  path.post_hops.clear();
-  path.dst = dest.addr;
-  path.dst_responds =
-      to01(util::hash_combine(dest.addr.value(),
-                              config_.seed ^ 0xDE57ull)) >=
-      config_.dest_silent_prob;
-  const std::uint64_t dh = dst24_hash(dest.addr);
+  plan.as_path = graph_.route(src_asn, dst_asn);
+  const std::vector<std::uint32_t>& as_path = plan.as_path;
+  if (as_path.empty()) return plan;
 
   // Source-side stub hops: monitor gateway + stub exit router.
   const AsNode& src_node = graph_.as_node(src_asn);
-  path.pre_hops.push_back(src_node.block.nth(
+  plan.pre_hops.push_back(src_node.block.nth(
       src_node.block.size() / 4 + 2 * monitor.id));
-  path.pre_hops.push_back(src_node.block.nth(
+  plan.pre_hops.push_back(src_node.block.nth(
       src_node.block.size() / 4 + 64 + 2 *
           (util::hash_combine(monitor.id, as_path.size() > 1 ? as_path[1]
                                                              : 0) % 8)));
@@ -913,15 +897,14 @@ bool Internet::path_spec(const probe::Monitor& monitor,
     if (!node.modeled) {
       // Stub AS: destination side only (stubs never provide transit).
       const std::uint64_t quarter = node.block.size() / 4;
-      path.post_hops.push_back(node.block.nth(
+      plan.post_hops.push_back(node.block.nth(
           quarter + 128 + 2 * (util::hash_combine(prev_asn, asn) % 16)));
       continue;
     }
 
     const ModeledAs* as = modeled(asn);
-    probe::SegmentSpec seg;
-    seg.plane = ctx.plane_of(asn);
-    if (seg.plane == nullptr) return false;
+    RoutePlan::Segment seg;
+    seg.plane = as->index;
     // Hot-potato ingress: where a packet enters an AS is fixed by where it
     // comes FROM (the upstream handed it over at the interconnect nearest
     // the source), not by its destination — so one monitor funnels all its
@@ -931,18 +914,58 @@ bool Internet::path_spec(const probe::Monitor& monitor,
     seg.ingress = as->border_for(prev_asn, ingress_hash);
     seg.entry_iface = as->entry_iface_for(prev_asn, ingress_hash);
     if (i + 1 < as_path.size()) {
+      seg.next_borders = &as->borders_toward.at(as_path[i + 1]);
+    }
+    seg.router_count = as->topo.router_count();
+    plan.segments.push_back(seg);
+  }
+  return plan;
+}
+
+bool Internet::path_spec(const RoutePlan& plan, const Destination& dest,
+                         const MonthContext& ctx,
+                         probe::PathSpec& path) const {
+  if (!plan.routable()) return false;
+  path.pre_hops.assign(plan.pre_hops.begin(), plan.pre_hops.end());
+  path.post_hops.assign(plan.post_hops.begin(), plan.post_hops.end());
+  path.segments.clear();
+  path.dst = dest.addr;
+  path.dst_responds =
+      to01(util::hash_combine(dest.addr.value(),
+                              config_.seed ^ 0xDE57ull)) >=
+      config_.dest_silent_prob;
+  const std::uint64_t dh = dst24_hash(dest.addr);
+
+  for (const RoutePlan::Segment& step : plan.segments) {
+    probe::SegmentSpec seg;
+    seg.plane = ctx.plane_at(step.plane);
+    if (seg.plane == nullptr) return false;
+    seg.ingress = step.ingress;
+    seg.entry_iface = step.entry_iface;
+    if (step.next_borders != nullptr) {
       // Egress toward the next AS; rotate the hash so ingress and egress
       // peering-point choices decorrelate.
-      seg.egress = as->border_for(as_path[i + 1], util::mix64(dh + 1));
+      const std::vector<topo::RouterId>& borders = *step.next_borders;
+      seg.egress = borders[static_cast<std::size_t>(util::mix64(dh + 1) %
+                                                    borders.size())];
     } else {
       // Destination lives inside this modelled AS: route to its
       // (hash-chosen) attachment router.
-      seg.egress = static_cast<topo::RouterId>(
-          util::mix64(dest.addr.value() >> 8) % as->topo.router_count());
+      seg.egress = static_cast<topo::RouterId>(dh % step.router_count);
     }
     path.segments.push_back(seg);
   }
   return true;
+}
+
+std::optional<probe::PathSpec> Internet::path_spec(
+    const probe::Monitor& monitor, const Destination& dest,
+    const MonthContext& ctx) const {
+  probe::PathSpec path;
+  if (!path_spec(route_plan(monitor, dest.asn), dest, ctx, path)) {
+    return std::nullopt;
+  }
+  return path;
 }
 
 }  // namespace mum::gen

@@ -119,8 +119,38 @@ struct ModeledAs {
   net::Ipv4Addr entry_iface_for(std::uint32_t neighbor,
                                 std::uint64_t dst_hash) const;
 
+  // Dense position among the modelled ASes (ascending ASN): the index of
+  // this AS's planes in every MonthContext (MonthContext::plane_at).
+  std::size_t index = 0;
+
   ModeledAs(AsShape s, topo::AsTopology t, igp::IgpState i)
       : shape(std::move(s)), topo(std::move(t)), igp(std::move(i)) {}
+};
+
+// The time-invariant part of every path from one monitor to one destination
+// AS. The AS graph, the monitor's stub hops and the hot-potato ingress of
+// each modelled AS depend on (monitor, destination AS) alone, so they are
+// derived once; Internet::path_spec finishes a plan per destination with
+// the egress peering point (a hash of the destination /24), the
+// destination's responsiveness and the month's planes.
+struct RoutePlan {
+  // One modelled AS on the path.
+  struct Segment {
+    std::size_t plane = 0;  // ModeledAs::index: MonthContext::plane_at key
+    topo::RouterId ingress = topo::kInvalidRouter;
+    net::Ipv4Addr entry_iface;
+    // Peering borders toward the next AS on the path; null when the
+    // destination lives in this AS (egress = its attachment router).
+    const std::vector<topo::RouterId>* next_borders = nullptr;
+    std::size_t router_count = 0;
+  };
+
+  std::vector<std::uint32_t> as_path;  // empty: AS-level routing fails
+  std::vector<net::Ipv4Addr> pre_hops;
+  std::vector<net::Ipv4Addr> post_hops;
+  std::vector<Segment> segments;
+
+  bool routable() const noexcept { return !as_path.empty(); }
 };
 
 // Per-month mutable control-plane state of one AS.
@@ -174,6 +204,10 @@ class MonthContext {
   void apply_flaps(int sub_index, double flap_prob);
 
   const probe::AsDataPlane* plane_of(std::uint32_t asn) const;
+  // Same, by ModeledAs::index — the route plans' dense key.
+  const probe::AsDataPlane* plane_at(std::size_t index) const noexcept {
+    return index < by_index_.size() ? &by_index_[index]->plane : nullptr;
+  }
 
   int cycle() const noexcept { return cycle_; }
 
@@ -198,6 +232,8 @@ class MonthContext {
   // stepped) since the DeltaEvolver last settled it.
   bool mutated_ = false;
   std::map<std::uint32_t, std::unique_ptr<AsPlanes>> planes_;
+  // planes_ in ModeledAs::index order (ascending ASN).
+  std::vector<AsPlanes*> by_index_;
   const Internet* internet_ = nullptr;
 };
 
@@ -229,22 +265,23 @@ class Internet {
   MonthContext instantiate(int cycle, int day_of_month = 1,
                            util::ThreadPool* pool = nullptr) const;
 
-  // Path from a monitor to a destination through `ctx`'s planes; nullopt
-  // when AS-level routing fails.
+  // The route plan from `monitor` to destination AS `dst_asn` (not
+  // routable when AS-level routing fails). Callers that probe many
+  // destinations keep plans per (monitor, destination AS) for the run.
+  RoutePlan route_plan(const probe::Monitor& monitor,
+                       std::uint32_t dst_asn) const;
+
+  // Finishes `plan` into the path toward `dest` (an address of the plan's
+  // destination AS) through `ctx`'s planes. Refills `path`, keeping vector
+  // capacities, so the per-probe loop performs no heap allocation; false
+  // when the plan is not routable.
+  bool path_spec(const RoutePlan& plan, const Destination& dest,
+                 const MonthContext& ctx, probe::PathSpec& path) const;
+  // One-off form: plans the route and finishes it; nullopt when AS-level
+  // routing fails.
   std::optional<probe::PathSpec> path_spec(const probe::Monitor& monitor,
                                            const Destination& dest,
                                            const MonthContext& ctx) const;
-
-  // Scratch-reusing form for the per-probe hot loop: refills scratch.path
-  // (vector capacities kept, so steady state performs no heap allocation)
-  // and returns false when AS-level routing fails. Equivalent to the
-  // allocating overload above.
-  struct PathScratch {
-    probe::PathSpec path;
-    std::vector<std::uint32_t> as_path;
-  };
-  bool path_spec(const probe::Monitor& monitor, const Destination& dest,
-                 const MonthContext& ctx, PathScratch& scratch) const;
 
   // AS hosting monitor `id`.
   std::uint32_t monitor_asn(std::uint32_t monitor_id) const {

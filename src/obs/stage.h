@@ -28,10 +28,12 @@
 namespace mum::obs {
 
 enum class Stage : std::uint8_t {
-  kGenerate = 0,  // synthetic month generation (probing, evolution)
+  kGenerate = 0,  // month generation (evolution, probing; and extraction
+                  // on the streamed path, which runs it per monitor block)
   kIngest,        // chaos round-trip / shard decode / re-annotation
   kSpf,           // IGP (re)computation, wherever it runs (inside generate)
-  kClassify,      // LPR pipeline: extract + filter + group + classify
+  kClassify,      // LPR pipeline: [extract +] filter + group + classify
+                  // (extract only for a materialized month)
   kReport,        // checkpoint/report serialization and write-out
 };
 inline constexpr std::size_t kStageCount = 5;

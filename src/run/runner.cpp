@@ -62,65 +62,81 @@ gen::CampaignConfig Runner::campaign_for(int cycle) const {
 }
 
 dataset::MonthData Runner::month_data(int cycle) const {
-  return month_data(cycle, nullptr);
-}
-
-dataset::MonthData Runner::month_data(int cycle,
-                                      gen::DeltaEvolver* evolver) const {
-  gen::CampaignRunner campaign(internet_, ip2as_, campaign_for(cycle),
-                               pool_.get());
-  return evolver != nullptr ? campaign.month(*evolver, cycle)
-                            : campaign.month(cycle);
+  return gen::CampaignRunner(internet_, ip2as_, campaign_for(cycle),
+                             pool_.get())
+      .month(cycle);
 }
 
 lpr::CycleReport Runner::run_cycle(int cycle) const {
-  return classify(cycle, prepare_month(cycle, nullptr, nullptr, nullptr));
+  const dataset::MonthData month = [&] {
+    const obs::StageSpan span(obs::Stage::kGenerate, cycle);
+    return month_data(cycle);
+  }();
+  return classify(cycle, month);
 }
 
-dataset::MonthData Runner::prepare_month(int cycle,
-                                         chaos::Corruptor* corruptor,
-                                         dataset::DecodeDiagnostics* decode,
-                                         gen::DeltaEvolver* evolver) const {
-  dataset::MonthData month = [&] {
-    const obs::StageSpan span(obs::Stage::kGenerate, cycle);
-    return month_data(cycle, evolver);
-  }();
-  if (corruptor != nullptr) {
-    // Chaos wire round-trips run the real ingest path — that time is
-    // ingest, not generation.
-    const obs::StageSpan span(obs::Stage::kIngest, cycle);
-    for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
-      dataset::SnapshotBatch& snapshot = month.snapshots[sub];
-      if (corruptor->config().flip_byte > 0) {
-        // Wire faults exercise the real ingest path: serialize a pack, flip
-        // bits, tolerant-decode, keep whatever the decoder salvaged.
-        std::string bytes = dataset::serialize_pack(snapshot);
-        corruptor->corrupt_bytes(
-            bytes,
-            util::hash_combine(static_cast<std::uint64_t>(cycle), sub));
-        dataset::DecodeDiagnostics diag;
-        auto salvaged = dataset::decode_snapshot(
-            bytes, dataset::DecodeOptions{.tolerant = true}, &diag);
-        if (decode != nullptr) decode->merge(diag);
-        if (salvaged) {
-          // The runner knows which cycle it is processing; a flipped header
-          // field must not relabel the snapshot (or derail the structural
-          // fault keying below).
-          salvaged->cycle_id = snapshot.cycle_id;
-          salvaged->sub_index = snapshot.sub_index;
-          salvaged->date = snapshot.date;
-          // Serialization carries no ip2as annotations: re-annotate the
-          // survivors before the pipeline consumes them.
-          ip2as_.annotate(salvaged->traces);
-          snapshot = std::move(*salvaged);
-        } else {
-          snapshot.traces.clear();  // container unreadable: total loss
-        }
-      }
-      corruptor->corrupt(snapshot);
-    }
-  }
+std::vector<lpr::ExtractedSnapshot> Runner::extract_month(
+    int cycle, const gen::CampaignRunner& campaign,
+    gen::DeltaEvolver& evolver) const {
+  const gen::CampaignConfig config = campaign_for(cycle);
+  const auto snapshots =
+      static_cast<std::size_t>(std::max(0, config.extra_snapshots)) + 1;
+  // One slot per (snapshot, monitor): monitors outside the cycle's fleet
+  // share send no block, and their empty slots stitch to nothing.
+  std::vector<std::vector<lpr::ExtractedBlock>> blocks(
+      snapshots,
+      std::vector<lpr::ExtractedBlock>(internet_.monitors().size()));
+  campaign.stream_month(
+      evolver, cycle, config,
+      [&](int sub_index, std::size_t monitor,
+          const dataset::TraceBatch& block) {
+        blocks[static_cast<std::size_t>(sub_index)][monitor] =
+            lpr::extract_block(block, ip2as_);
+      });
+  std::vector<lpr::ExtractedSnapshot> month(snapshots);
+  util::parallel_for(pool_.get(), snapshots, [&](std::size_t sub) {
+    month[sub] = lpr::stitch_blocks(static_cast<std::uint32_t>(cycle),
+                                    static_cast<std::uint32_t>(sub),
+                                    gen::cycle_date(cycle), blocks[sub]);
+  });
   return month;
+}
+
+void Runner::corrupt_month(int cycle, chaos::Corruptor& corruptor,
+                           dataset::DecodeDiagnostics& decode,
+                           dataset::MonthData& month) const {
+  // Chaos wire round-trips run the real ingest path — that time is
+  // ingest, not generation.
+  const obs::StageSpan span(obs::Stage::kIngest, cycle);
+  for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
+    dataset::SnapshotBatch& snapshot = month.snapshots[sub];
+    if (corruptor.config().flip_byte > 0) {
+      // Wire faults exercise the real ingest path: serialize a pack, flip
+      // bits, tolerant-decode, keep whatever the decoder salvaged.
+      std::string bytes = dataset::serialize_pack(snapshot);
+      corruptor.corrupt_bytes(
+          bytes, util::hash_combine(static_cast<std::uint64_t>(cycle), sub));
+      dataset::DecodeDiagnostics diag;
+      auto salvaged = dataset::decode_snapshot(
+          bytes, dataset::DecodeOptions{.tolerant = true}, &diag);
+      decode.merge(diag);
+      if (salvaged) {
+        // The runner knows which cycle it is processing; a flipped header
+        // field must not relabel the snapshot (or derail the structural
+        // fault keying below).
+        salvaged->cycle_id = snapshot.cycle_id;
+        salvaged->sub_index = snapshot.sub_index;
+        salvaged->date = snapshot.date;
+        // Serialization carries no ip2as annotations: re-annotate the
+        // survivors before the pipeline consumes them.
+        ip2as_.annotate(salvaged->traces);
+        snapshot = std::move(*salvaged);
+      } else {
+        snapshot.traces.clear();  // container unreadable: total loss
+      }
+    }
+    corruptor.corrupt(snapshot);
+  }
 }
 
 lpr::CycleReport Runner::classify(int cycle,
@@ -130,6 +146,17 @@ lpr::CycleReport Runner::classify(int cycle,
   util::io::check_deadline();
   const obs::StageSpan span(obs::Stage::kClassify, cycle);
   return lpr::run_pipeline(month, ip2as_, config_.pipeline, pool_.get());
+}
+
+lpr::CycleReport Runner::classify(
+    int cycle, std::vector<lpr::ExtractedSnapshot> month) const {
+  util::io::check_deadline();
+  const obs::StageSpan span(obs::Stage::kClassify, cycle);
+  const std::vector<lpr::ExtractedSnapshot> following(
+      std::make_move_iterator(month.begin() + 1),
+      std::make_move_iterator(month.end()));
+  return lpr::run_pipeline(month.front(), following, config_.pipeline,
+                           pool_.get());
 }
 
 void Runner::quarantine_file(const std::string& path,
@@ -250,8 +277,15 @@ RunOutcome Runner::run_all_contained() const {
 
   // One standing world advances through the cycle range in order;
   // checkpoint-restored cycles skip generation entirely and the evolver
-  // jumps the gap when the next computed cycle asks for it.
+  // jumps the gap when the next computed cycle asks for it. One campaign
+  // runner serves every cycle, so its per-monitor shards — arenas, ip2as
+  // memos and route plans — are built once per run.
   gen::DeltaEvolver evolver(internet_, pool_.get());
+  const gen::CampaignRunner campaign(internet_, ip2as_, config_.campaign,
+                                     pool_.get());
+  // The merged month is built only where its bytes are consumed.
+  const bool materialize =
+      data_chaos || (checkpoints && config_.checkpoint_data);
   for (std::size_t i = 0; i < n; ++i) {
     const int cycle = first + static_cast<int>(i);
     CycleStatus& status = out.manifest.cycles[i];
@@ -359,22 +393,33 @@ RunOutcome Runner::run_all_contained() const {
           throw chaos::ChaosError("injected failure in cycle " +
                                   std::to_string(cycle + 1));
         }
-        dataset::DecodeDiagnostics decode;
-        const dataset::MonthData month = prepare_month(
-            cycle, data_chaos ? &corruptor : nullptr, &decode, &evolver);
-        util::io::check_deadline();
-        if (checkpoints && config_.checkpoint_data) {
-          // The shards carry the post-chaos data (what the pipeline saw).
-          const obs::StageSpan span(obs::Stage::kReport, cycle);
-          for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
-            supervised_write([&] {
-              return write_data_shard(config_.checkpoint_dir, cycle, sub,
-                                      month.snapshots[sub]);
-            });
+        if (materialize) {
+          dataset::MonthData month = [&] {
+            const obs::StageSpan span(obs::Stage::kGenerate, cycle);
+            return campaign.month(evolver, cycle, campaign_for(cycle));
+          }();
+          dataset::DecodeDiagnostics decode;
+          if (data_chaos) corrupt_month(cycle, corruptor, decode, month);
+          util::io::check_deadline();
+          if (checkpoints && config_.checkpoint_data) {
+            // The shards carry the post-chaos data (what the pipeline saw).
+            const obs::StageSpan span(obs::Stage::kReport, cycle);
+            for (std::size_t sub = 0; sub < month.snapshots.size(); ++sub) {
+              supervised_write([&] {
+                return write_data_shard(config_.checkpoint_dir, cycle, sub,
+                                        month.snapshots[sub]);
+              });
+            }
           }
+          slot = classify(cycle, month);
+          slot.decode = std::move(decode);
+        } else {
+          std::vector<lpr::ExtractedSnapshot> month = [&] {
+            const obs::StageSpan span(obs::Stage::kGenerate, cycle);
+            return extract_month(cycle, campaign, evolver);
+          }();
+          slot = classify(cycle, std::move(month));
         }
-        slot = classify(cycle, month);
-        slot.decode = std::move(decode);
         util::io::check_deadline();
         status.outcome = CycleOutcome::kOk;
         status.delta = evolver.last_stats();

@@ -5,6 +5,16 @@
 // fan-out, per-AS evolution, classification) use a thread pool
 // the Runner owns.
 //
+// The month streams: each monitor task of the campaign fan-out probes,
+// annotates and extracts its own block (gen::CampaignRunner::stream_month
+// with lpr::extract_block as the sink), and the runner stitches each
+// snapshot's blocks in monitor order (lpr::stitch_blocks). No merged
+// snapshot exists unless its bytes are consumed: data chaos (the corrupted
+// snapshot is extracted as one block) and --checkpoint-data shards take the
+// materialized month instead, as does the from-scratch run_cycle. Streamed
+// extraction runs inside generation, so a cycle's manifest counts it in the
+// `generate` stage; `classify` then covers filter, group and classify only.
+//
 // The fig*/table* binaries, the CLI and the examples all share this one
 // API.
 //
@@ -130,18 +140,23 @@ class Runner {
 
  private:
   gen::CampaignConfig campaign_for(int cycle) const;
-  // `evolver`, when given, generates the month against the standing evolved
-  // world instead of a from-scratch instantiate (byte-identical output).
-  dataset::MonthData month_data(int cycle, gen::DeltaEvolver* evolver) const;
-  // month_data plus optional chaos: structural faults mutate the month's
+  // The month streamed through extraction against the standing world:
+  // every monitor block is extracted inside the fan-out, then each
+  // snapshot is stitched in monitor order.
+  std::vector<lpr::ExtractedSnapshot> extract_month(
+      int cycle, const gen::CampaignRunner& campaign,
+      gen::DeltaEvolver& evolver) const;
+  // Data chaos on a materialized month: structural faults mutate its
   // snapshots in place; wire faults round-trip them through a pack and
   // tolerant decode, re-annotating survivors, with the decoder's
   // diagnostics accumulated into `decode`.
-  dataset::MonthData prepare_month(int cycle, chaos::Corruptor* corruptor,
-                                   dataset::DecodeDiagnostics* decode,
-                                   gen::DeltaEvolver* evolver) const;
+  void corrupt_month(int cycle, chaos::Corruptor& corruptor,
+                     dataset::DecodeDiagnostics& decode,
+                     dataset::MonthData& month) const;
   // The LPR pipeline over one month, behind a deadline check.
   lpr::CycleReport classify(int cycle, const dataset::MonthData& month) const;
+  lpr::CycleReport classify(int cycle,
+                            std::vector<lpr::ExtractedSnapshot> month) const;
   // Re-ingest a cycle's persisted data shards (strict decode) and run the
   // pipeline on them. nullopt when shards are missing, incomplete (fewer
   // than the configured snapshots per cycle — a crash mid-persist must not

@@ -15,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "core/extract.h"
 #include "dataset/ip2as.h"
 #include "dataset/pack.h"
 #include "dataset/trace_batch.h"
 #include "gen/campaign.h"
+#include "gen/evolve.h"
 #include "gen/internet.h"
 #include "net/lse.h"
 #include "obs/telemetry.h"
@@ -403,6 +405,54 @@ TEST(CampaignBatch, ArenaHighWaterStableOverSixtyCycleSoak) {
     auto ctx = internet.instantiate(50);
     const dataset::SnapshotBatch snap = runner.snapshot(ctx, 50, 0);
     ASSERT_GT(snap.trace_count(), 0u);
+  }
+  EXPECT_EQ(obs::registry().gauge("probe.arena.capacity_bytes").value(),
+            capacity_warm);
+  EXPECT_EQ(obs::registry().gauge("probe.arena.high_water_bytes").value(),
+            high_water_warm);
+}
+
+// The same gate on the streamed path the run loop takes: one campaign
+// runner streams the same month over and over, each monitor block
+// annotated and extracted inside the fan-out. The warm-up covers the
+// shards' right-sizing (the cold snapshot grows by doubling, the next one
+// reserves at the measured volume, the third replaces the oversized
+// arenas), after which the memory the shards retain must stay flat.
+TEST(CampaignBatch, ArenaHighWaterStableOverStreamedSoak) {
+  gen::Internet internet(small_gen());
+  const auto ip2as = internet.build_ip2as();
+  util::ThreadPool pool(4);
+  const gen::CampaignRunner runner(internet, ip2as, {}, &pool);
+  gen::CampaignConfig one_snapshot;
+  one_snapshot.extra_snapshots = 0;
+  gen::DeltaEvolver world(internet, &pool);
+  std::vector<std::size_t> observations(internet.monitors().size());
+  const gen::BlockSink sink = [&](int, std::size_t monitor,
+                                  const dataset::TraceBatch& block) {
+    observations[monitor] = lpr::extract_block(block, ip2as).observations.size();
+  };
+
+  obs::Gauge& retained = obs::registry().gauge("probe.arena.retained_bytes");
+  runner.stream_month(world, 50, one_snapshot, sink);
+  const std::int64_t retained_cold = retained.value();
+  for (int warm_up = 1; warm_up < 3; ++warm_up) {
+    runner.stream_month(world, 50, one_snapshot, sink);
+  }
+  const std::int64_t capacity_warm =
+      obs::registry().gauge("probe.arena.capacity_bytes").value();
+  const std::int64_t high_water_warm =
+      obs::registry().gauge("probe.arena.high_water_bytes").value();
+  const std::int64_t retained_warm = retained.value();
+  const std::vector<std::size_t> warm_observations = observations;
+  // Right-sized: the shards hold less than the cold snapshot grew to.
+  EXPECT_GT(retained_warm, 0);
+  EXPECT_LT(retained_warm, retained_cold);
+  EXPECT_LE(retained_cold, capacity_warm);
+
+  for (int round = 0; round < 60; ++round) {
+    runner.stream_month(world, 50, one_snapshot, sink);
+    ASSERT_EQ(observations, warm_observations);
+    ASSERT_EQ(retained.value(), retained_warm) << "round " << round;
   }
   EXPECT_EQ(obs::registry().gauge("probe.arena.capacity_bytes").value(),
             capacity_warm);

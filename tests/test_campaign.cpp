@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/filters.h"
+#include "gen/evolve.h"
+#include "obs/telemetry.h"
+#include "streamed_month.h"
 #include "trace_builder.h"
+#include "util/thread_pool.h"
 
 #include <set>
 
@@ -172,6 +176,95 @@ TEST_F(CampaignTest, Level3AppearsMidApril2012) {
   const auto mid = level3_lsps(days[20]);
   EXPECT_GT(mid, 0u);
   EXPECT_LT(mid, level3_lsps(days[29]));
+}
+
+// --- the streamed month ----------------------------------------------------
+
+// Streaming a month through extract_block + stitch_blocks equals extracting
+// the materialized month, snapshot by snapshot, on the full fleet and on a
+// dipped one (monitors outside the share send no block), serially and on a
+// pool.
+TEST_F(CampaignTest, StreamedMonthMatchesMaterializedMonth) {
+  CampaignConfig dip;
+  dip.monitor_share = 0.55;
+  for (const unsigned threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    const CampaignRunner campaign(internet, ip2as, {}, &pool);
+    for (const CampaignConfig& config : {CampaignConfig{}, dip}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " share=" << config.monitor_share);
+      DeltaEvolver streamed_world(internet, &pool);
+      DeltaEvolver materialized_world(internet, &pool);
+      const auto streamed =
+          test::streamed_month(campaign, streamed_world, 50, config, ip2as);
+      const auto month = campaign.month(materialized_world, 50, config);
+      ASSERT_EQ(streamed.size(), month.snapshots.size());
+      for (std::size_t sub = 0; sub < streamed.size(); ++sub) {
+        test::expect_same_extraction(
+            streamed[sub], lpr::extract_lsps(month.snapshots[sub], ip2as));
+      }
+      EXPECT_GT(streamed[0].observations.size(), 0u);
+    }
+  }
+}
+
+TEST(CampaignStream, EmptyMonitorBlocksStreamLikeEmptySnapshots) {
+  GenConfig config = small_config();
+  config.dests_per_monitor = 0;  // every monitor probes nothing
+  const Internet internet(config);
+  const auto ip2as = internet.build_ip2as();
+  const CampaignRunner campaign(internet, ip2as);
+  std::size_t blocks = 0;
+  DeltaEvolver streamed_world(internet);
+  campaign.stream_month(streamed_world, 50, {},
+                        [&](int, std::size_t,
+                            const dataset::TraceBatch& block) {
+                          EXPECT_TRUE(block.empty());
+                          ++blocks;
+                        });
+  EXPECT_EQ(blocks, 3u * internet.monitors().size());
+
+  DeltaEvolver again(internet);
+  DeltaEvolver materialized_world(internet);
+  const auto streamed = test::streamed_month(campaign, again, 50, {}, ip2as);
+  const auto month = campaign.month(materialized_world, 50);
+  ASSERT_EQ(streamed.size(), month.snapshots.size());
+  for (std::size_t sub = 0; sub < streamed.size(); ++sub) {
+    test::expect_same_extraction(
+        streamed[sub], lpr::extract_lsps(month.snapshots[sub], ip2as));
+    EXPECT_EQ(streamed[sub].stats.traces_total, 0u);
+  }
+}
+
+// The streamed path publishes the same probe telemetry as the materialized
+// one: one arena reset per active monitor per snapshot, every trace and hop
+// counted, and populated arena gauges.
+TEST_F(CampaignTest, StreamedMonthPublishesProbeTelemetry) {
+  obs::Counter& traces = obs::registry().counter("probe.batch.traces");
+  obs::Counter& hops = obs::registry().counter("probe.batch.hops");
+  obs::Counter& resets = obs::registry().counter("probe.arena.resets");
+  const std::uint64_t traces_before = traces.value();
+  const std::uint64_t hops_before = hops.value();
+  const std::uint64_t resets_before = resets.value();
+
+  std::uint64_t streamed_traces = 0, streamed_hops = 0;
+  DeltaEvolver world(internet);
+  runner.stream_month(world, 50, runner.config(),
+                      [&](int, std::size_t,
+                          const dataset::TraceBatch& block) {
+                        streamed_traces += block.trace_count();
+                        streamed_hops += block.hop_count();
+                      });
+  ASSERT_GT(streamed_traces, 0u);
+  EXPECT_EQ(traces.value() - traces_before, streamed_traces);
+  EXPECT_EQ(hops.value() - hops_before, streamed_hops);
+  EXPECT_EQ(resets.value() - resets_before, 3u * internet.monitors().size());
+  const std::int64_t capacity =
+      obs::registry().gauge("probe.arena.capacity_bytes").value();
+  const std::int64_t high_water =
+      obs::registry().gauge("probe.arena.high_water_bytes").value();
+  EXPECT_GT(high_water, 0);
+  EXPECT_GE(capacity, high_water);
 }
 
 }  // namespace

@@ -141,6 +141,50 @@ TEST(Extract, MultiAsRunFlaggedForIntraAsFilter) {
   EXPECT_EQ(extracted.observations[0].lsp.asn, 0u);  // inter-domain marker
 }
 
+TEST(Extract, TwoAsRunWithTiedVotesIsInterDomain) {
+  // Two hops per AS: no majority to pick, and none is needed.
+  const auto snap = snapshot_of({trace_of({plain(0x10000001),
+                                           labeled(0x10000002, 100),
+                                           labeled(0x10000003, 200),
+                                           labeled(0x20000002, 300),
+                                           labeled(0x20000003, 400),
+                                           plain(0x20000004),
+                                           plain(0x90000001)})});
+  const auto extracted = extract_lsps(snap, test_ip2as());
+  ASSERT_EQ(extracted.observations.size(), 1u);
+  EXPECT_EQ(extracted.observations[0].lsp.asn, 0u);
+}
+
+TEST(Extract, TwoAsRunWithClearMajorityIsInterDomain) {
+  // Three hops of AS65001 against one of AS65002: the majority AS does not
+  // win — a run spanning two ASes is inter-domain whatever the votes.
+  const auto snap = snapshot_of({trace_of({plain(0x10000001),
+                                           labeled(0x10000002, 100),
+                                           labeled(0x10000003, 200),
+                                           labeled(0x10000004, 300),
+                                           labeled(0x20000002, 400),
+                                           plain(0x10000005),
+                                           plain(0x90000001)})});
+  const auto extracted = extract_lsps(snap, test_ip2as());
+  ASSERT_EQ(extracted.observations.size(), 1u);
+  EXPECT_EQ(extracted.observations[0].lsp.asn, 0u);
+  // asn 0 never matches the exit hop: the last labeled hop is the egress.
+  EXPECT_TRUE(extracted.observations[0].lsp.egress_labeled);
+}
+
+TEST(Extract, UnmappedHopsDoNotSplitARun) {
+  // 0x30.. maps to no AS: the run's one mapped AS still owns it.
+  const auto snap = snapshot_of({trace_of({plain(0x10000001),
+                                           labeled(0x30000002, 100),
+                                           labeled(0x10000003, 200),
+                                           plain(0x10000004),
+                                           plain(0x90000001)})});
+  const auto extracted = extract_lsps(snap, test_ip2as());
+  ASSERT_EQ(extracted.observations.size(), 1u);
+  EXPECT_EQ(extracted.observations[0].lsp.asn, 65001u);
+  EXPECT_FALSE(extracted.observations[0].lsp.egress_labeled);
+}
+
 TEST(Extract, TwoTunnelsInOneTrace) {
   const auto snap = snapshot_of({trace_of({plain(0x10000001),
                                            labeled(0x10000002, 100),
@@ -226,6 +270,103 @@ TEST(Extract, CensusAddressNeverDoubleCounted) {
   const auto census = census_by_as(snapshot_of({t1, t2}));
   EXPECT_EQ(census.at(65001).mpls_ips, 1u);
   EXPECT_EQ(census.at(65001).non_mpls_ips, 2u);
+}
+
+// --- block extraction + stitching ---------------------------------------
+
+dataset::TraceBatch block_of(const std::vector<test::TraceSpec>& traces) {
+  dataset::TraceBatch batch;
+  for (const test::TraceSpec& trace : traces) test::append(batch, trace);
+  test_ip2as().annotate(batch);
+  return batch;
+}
+
+std::vector<test::TraceSpec> census_traces() {
+  // 0x10000002 is labeled in the first trace and plain in the last one;
+  // 0x20000002 is labeled twice; 0x10000001 and 0x90000001 never are.
+  return {trace_of({plain(0x10000001), labeled(0x10000002, 100),
+                    plain(0x10000003), plain(0x90000001)}),
+          trace_of({plain(0x20000001), labeled(0x20000002, 500),
+                    plain(0x20000003), plain(0x90000002)}),
+          trace_of({plain(0x10000001), labeled(0x20000002, 501),
+                    plain(0x20000004), plain(0x90000001)}),
+          trace_of({plain(0x10000001), plain(0x10000002),
+                    plain(0x90000001)})};
+}
+
+void expect_same(const ExtractedSnapshot& got, const ExtractedSnapshot& want) {
+  EXPECT_EQ(got.stats.traces_total, want.stats.traces_total);
+  EXPECT_EQ(got.stats.traces_with_explicit_tunnel,
+            want.stats.traces_with_explicit_tunnel);
+  EXPECT_EQ(got.stats.lsps_observed, want.stats.lsps_observed);
+  EXPECT_EQ(got.stats.lsps_incomplete, want.stats.lsps_incomplete);
+  EXPECT_EQ(got.stats.mpls_ips, want.stats.mpls_ips);
+  EXPECT_EQ(got.stats.non_mpls_ips, want.stats.non_mpls_ips);
+  ASSERT_EQ(got.observations.size(), want.observations.size());
+  for (std::size_t i = 0; i < got.observations.size(); ++i) {
+    EXPECT_TRUE(got.observations[i].lsp == want.observations[i].lsp);
+  }
+}
+
+TEST(Stitch, CensusUnionCountsAddressLabeledInOneBlockAsMpls) {
+  const auto traces = census_traces();
+  // Block 0 sees 0x10000002 labeled, block 1 sees it plain.
+  std::vector<ExtractedBlock> blocks;
+  blocks.push_back(extract_block(block_of({traces[0], traces[1]}),
+                                 test_ip2as()));
+  blocks.push_back(extract_block(block_of({traces[2], traces[3]}),
+                                 test_ip2as()));
+  EXPECT_EQ(blocks[0].stats.mpls_ips, 0u);  // settled by the stitch only
+  const ExtractedSnapshot stitched = stitch_blocks(1, 0, "2014-12", blocks);
+  EXPECT_EQ(stitched.stats.mpls_ips, 2u);      // 0x10000002, 0x20000002
+  EXPECT_EQ(stitched.stats.non_mpls_ips, 7u);
+  EXPECT_EQ(stitched.stats.traces_total, 4u);
+  expect_same(stitched, extract_lsps(lpr::snapshot_of(traces), test_ip2as()));
+
+  // The union is order-independent: plain first, labeled second.
+  std::vector<ExtractedBlock> reversed;
+  reversed.push_back(extract_block(block_of({traces[3]}), test_ip2as()));
+  reversed.push_back(extract_block(block_of({traces[0]}), test_ip2as()));
+  const ExtractedSnapshot two = stitch_blocks(1, 0, "2014-12", reversed);
+  EXPECT_EQ(two.stats.mpls_ips, 1u);
+  EXPECT_EQ(two.stats.non_mpls_ips, 3u);
+}
+
+TEST(Stitch, EmptyBlocksStitchToNothing) {
+  const auto traces = census_traces();
+  std::vector<ExtractedBlock> blocks;
+  blocks.push_back(extract_block(dataset::TraceBatch(), test_ip2as()));
+  blocks.push_back(extract_block(block_of({traces[0], traces[1]}),
+                                 test_ip2as()));
+  blocks.emplace_back();  // a monitor outside the fleet share
+  blocks.push_back(extract_block(dataset::TraceBatch(), test_ip2as()));
+  blocks.push_back(extract_block(block_of({traces[2], traces[3]}),
+                                 test_ip2as()));
+  const ExtractedSnapshot stitched = stitch_blocks(1, 2, "2014-12", blocks);
+  EXPECT_EQ(stitched.cycle_id, 1u);
+  EXPECT_EQ(stitched.sub_index, 2u);
+  EXPECT_EQ(stitched.date, "2014-12");
+  expect_same(stitched, extract_lsps(lpr::snapshot_of(traces), test_ip2as()));
+
+  std::vector<ExtractedBlock> none(3);
+  const ExtractedSnapshot empty = stitch_blocks(1, 0, "2014-12", none);
+  EXPECT_TRUE(empty.observations.empty());
+  EXPECT_EQ(empty.stats.traces_total, 0u);
+  EXPECT_EQ(empty.stats.mpls_ips + empty.stats.non_mpls_ips, 0u);
+}
+
+TEST(Stitch, ObservationsConcatenateInBlockOrder) {
+  const auto traces = census_traces();
+  std::vector<ExtractedBlock> blocks;
+  for (const test::TraceSpec& trace : traces) {
+    blocks.push_back(extract_block(block_of({trace}), test_ip2as()));
+  }
+  const ExtractedSnapshot stitched = stitch_blocks(1, 0, "2014-12", blocks);
+  ASSERT_EQ(stitched.observations.size(), 3u);
+  EXPECT_EQ(stitched.observations[0].lsp.ingress, ip(0x10000001));
+  EXPECT_EQ(stitched.observations[1].lsp.ingress, ip(0x20000001));
+  EXPECT_EQ(stitched.observations[2].lsp.lsrs[0].labels,
+            (std::vector<std::uint32_t>{501}));
 }
 
 }  // namespace

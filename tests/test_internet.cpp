@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
 
 #include "gen/campaign.h"
+#include "path_reference.h"
 
 namespace mum::gen {
 namespace {
@@ -178,6 +180,82 @@ TEST_F(InternetTest, PathSegmentsAreModeledAsesInRouteOrder) {
       EXPECT_EQ(path->segments[s].plane->asn, modeled_on_route[s]);
     }
   }
+}
+
+// --- route plans against the per-trace reference ---------------------------
+
+// Every (monitor, destination) of the world: the plan-built path equals the
+// reference. One scratch path is reused throughout, as the probe loop does.
+void expect_plans_match_reference(const Internet& internet,
+                                  const MonthContext& ctx) {
+  probe::PathSpec path;
+  std::size_t routed = 0;
+  for (const probe::Monitor& monitor : internet.monitors()) {
+    std::unordered_map<std::uint32_t, RoutePlan> plans;
+    for (const Destination& dest : internet.destinations()) {
+      auto plan = plans.find(dest.asn);
+      if (plan == plans.end()) {
+        plan = plans.emplace(dest.asn, internet.route_plan(monitor, dest.asn))
+                   .first;
+      }
+      const auto want = test::reference_path_spec(internet, monitor, dest, ctx);
+      const bool got = internet.path_spec(plan->second, dest, ctx, path);
+      ASSERT_EQ(got, want.has_value())
+          << "monitor " << monitor.id << " dst " << dest.addr.to_string();
+      if (!got) continue;
+      ASSERT_TRUE(test::same_path(path, *want))
+          << "monitor " << monitor.id << " dst " << dest.addr.to_string();
+      ++routed;
+    }
+  }
+  EXPECT_GT(routed, 0u);
+}
+
+GenConfig cli_small_config() {  // `mum campaign --small`
+  GenConfig c;
+  c.background_transit = 8;
+  c.stub_ases = 12;
+  c.monitors = 6;
+  c.dests_per_monitor = 150;
+  return c;
+}
+
+TEST(RoutePlans, MatchReferenceOnDefaultWorldAcrossCycles) {
+  const Internet internet{GenConfig{}};
+  for (const int cycle : {10, 50}) {
+    SCOPED_TRACE(cycle);
+    expect_plans_match_reference(internet, internet.instantiate(cycle));
+  }
+}
+
+TEST(RoutePlans, MatchReferenceOnSmallWorldAcrossCycles) {
+  const Internet internet(cli_small_config());
+  for (const int cycle : {10, 50}) {
+    SCOPED_TRACE(cycle);
+    expect_plans_match_reference(internet, internet.instantiate(cycle));
+  }
+}
+
+TEST(RoutePlans, MatchReferenceUnderInMonthLinkFailures) {
+  const Internet internet(cli_small_config());
+  MonthContext ctx = internet.instantiate(50);
+  // The month's last snapshot: every maintenance failure has set in.
+  ctx.apply_flaps(/*sub_index=*/2, internet.config().ecmp_flap_prob);
+  std::size_t failed_ases = 0;
+  for (const std::uint32_t asn : internet.modeled_asns()) {
+    if (ctx.plane_of(asn)->igp != &internet.modeled(asn)->igp) ++failed_ases;
+  }
+  ASSERT_GT(failed_ases, 0u);
+  expect_plans_match_reference(internet, ctx);
+}
+
+TEST(RoutePlans, UnroutablePlanYieldsNoPath) {
+  const Internet internet(small_config());
+  const MonthContext ctx = internet.instantiate(50);
+  const RoutePlan none;
+  probe::PathSpec path;
+  EXPECT_FALSE(none.routable());
+  EXPECT_FALSE(internet.path_spec(none, internet.destinations()[0], ctx, path));
 }
 
 TEST_F(InternetTest, FlapsChangeSaltsBetweenSubIndexes) {

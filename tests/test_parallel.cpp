@@ -17,10 +17,12 @@
 #include "core/report.h"
 #include "dataset/pack.h"
 #include "gen/campaign.h"
+#include "gen/evolve.h"
 #include "gen/internet.h"
 #include "igp/spf.h"
 #include "run/runner.h"
 #include "spf_reference.h"
+#include "streamed_month.h"
 #include "topo/builder.h"
 #include "util/rng.h"
 
@@ -274,6 +276,55 @@ TEST(Determinism, RunnerLongitudinalIdenticalAcrossThreadCounts) {
   const auto rp = run::Runner(parallel_config).run_all_contained().report;
   ASSERT_EQ(rs.cycles.size(), 3u);
   EXPECT_EQ(rs.to_json(), rp.to_json());
+}
+
+// The run loop's front end at 16 threads: every monitor task probes,
+// annotates with its own shard's ip2as memo and extracts its block inside
+// the fan-out. Under TSan this races the shard state and the sink; the
+// stitched month must equal the serial materialized month's extraction.
+TEST(Determinism, StreamedMonthAt16ThreadsMatchesSerialMaterialized) {
+  const gen::Internet internet(small_config());
+  const auto ip2as = internet.build_ip2as();
+  util::ThreadPool pool(16);
+  const gen::CampaignRunner streaming(internet, ip2as, {}, &pool);
+  gen::DeltaEvolver streamed_world(internet, &pool);
+  const gen::CampaignRunner serial(internet, ip2as);
+  gen::DeltaEvolver serial_world(internet);
+  for (const int cycle : {50, 51}) {
+    const auto streamed = test::streamed_month(
+        streaming, streamed_world, cycle, streaming.config(), ip2as);
+    const auto month = serial.month(serial_world, cycle);
+    ASSERT_EQ(streamed.size(), month.snapshots.size());
+    for (std::size_t sub = 0; sub < streamed.size(); ++sub) {
+      test::expect_same_extraction(
+          streamed[sub], lpr::extract_lsps(month.snapshots[sub], ip2as));
+    }
+  }
+}
+
+// The Runner streams clean cycles and materializes in run_cycle: with a
+// fleet dip in the range, both give the same per-cycle reports (extract
+// counters and IOTPs included) at 1 and 4 threads.
+TEST(Determinism, RunnerStreamedCyclesMatchRunCycleWithFleetDip) {
+  for (const int threads : {1, 4}) {
+    run::RunnerConfig config;
+    config.gen = small_config();
+    config.first_cycle = 50;
+    config.last_cycle = 52;
+    config.fleet_share_by_cycle = {{51, 0.55}};
+    config.threads = threads;
+    const run::Runner runner(config);
+    const auto outcome = runner.run_all_contained();
+    ASSERT_EQ(outcome.report.cycles.size(), 3u);
+    for (int cycle = 50; cycle <= 52; ++cycle) {
+      const auto& streamed =
+          outcome.report.cycles[static_cast<std::size_t>(cycle - 50)];
+      EXPECT_EQ(streamed.to_json(true), runner.run_cycle(cycle).to_json(true))
+          << "threads=" << threads << " cycle=" << cycle;
+    }
+    EXPECT_LT(outcome.report.cycles[1].extract_stats.traces_total,
+              outcome.report.cycles[0].extract_stats.traces_total);
+  }
 }
 
 TEST(Determinism, ClassifyAllShardedMatchesSerial) {
