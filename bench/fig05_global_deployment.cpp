@@ -15,6 +15,8 @@
 
 #include "common.h"
 #include "core/extract.h"
+#include "gen/campaign.h"
+#include "gen/evolve.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -30,9 +32,15 @@ int main() {
   std::uint64_t first_mpls = 0, last_mpls = 0;
   std::uint64_t first_plain = 0, last_plain = 0;
 
+  // One standing world and one campaign runner over the sweep, as the run
+  // loop keeps them: each month evolves from the previous one.
+  gen::DeltaEvolver evolver(study.internet(), study.pool());
+  const gen::CampaignRunner campaign(study.internet(), study.ip2as(),
+                                     study.config().campaign, study.pool());
   for (int cycle = study.config().first_cycle;
        cycle <= study.config().last_cycle; ++cycle) {
-    const dataset::MonthData month = study.month_data(cycle);
+    const dataset::MonthData month =
+        campaign.month(evolver, cycle, study.campaign_for(cycle));
     const lpr::ExtractedSnapshot extracted =
         lpr::extract_lsps(month.cycle(), study.ip2as());
     const auto& s = extracted.stats;

@@ -46,11 +46,10 @@ int main() {
     // "Before filtering": complete Level3 LSP observations and their IOTPs.
     std::uint64_t lsps_before = 0;
     std::set<lpr::IotpKey> iotps_before;
-    for (const auto& obs : extracted.observations) {
-      if (obs.lsp.asn != gen::kAsnLevel3) continue;
+    for (const lpr::LspRow& row : extracted.observations.rows()) {
+      if (row.asn != gen::kAsnLevel3) continue;
       ++lsps_before;
-      iotps_before.insert(
-          lpr::IotpKey{obs.lsp.asn, obs.lsp.ingress, obs.lsp.egress});
+      iotps_before.insert(row.key());
     }
 
     // "After filtering": run the (persistence-less) pipeline, then count.

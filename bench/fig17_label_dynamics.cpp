@@ -48,10 +48,11 @@ int main() {
     probe::trace_route_into(monitor, *path, options, rng, snap.traces);
     study.ip2as().annotate(snap.traces);
     const auto extracted = lpr::extract_lsps(snap, study.ip2as());
-    for (const auto& obs : extracted.observations) {
-      if (obs.lsp.asn == gen::kAsnVodafone && obs.lsp.lsrs.size() >= 2) {
+    const lpr::LspTable& lsps = extracted.observations;
+    for (const lpr::LspRow& row : lsps.rows()) {
+      if (row.asn == gen::kAsnVodafone && row.lsr_count >= 2) {
         target = dest;
-        lsr_addrs = {obs.lsp.lsrs[0].addr, obs.lsp.lsrs[1].addr};
+        lsr_addrs = {lsps.lsrs(row)[0].addr, lsps.lsrs(row)[1].addr};
         break;
       }
     }
@@ -107,8 +108,8 @@ int main() {
     for (std::size_t k = 0; k < trace.hop_count(); ++k) {
       const dataset::HopView hop = trace.hop(k);
       if (!hop.has_labels()) continue;
-      if (hop.addr() == lsr_addrs[0]) l1 = hop.labels().front();
-      if (hop.addr() == lsr_addrs[1]) l2 = hop.labels().front();
+      if (hop.addr() == lsr_addrs[0]) l1 = hop.lse_words().front() >> 12;
+      if (hop.addr() == lsr_addrs[1]) l2 = hop.lse_words().front() >> 12;
     }
     table.add_row({std::to_string(t), std::to_string(l1),
                    std::to_string(l2)});

@@ -14,6 +14,8 @@
 
 #include "common.h"
 #include "core/extract.h"
+#include "gen/campaign.h"
+#include "gen/evolve.h"
 #include "gen/profiles.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -37,9 +39,15 @@ int main() {
   std::map<std::uint32_t, std::map<int, util::MinMaxAvg>> mpls_stats;
   std::map<std::uint32_t, std::map<int, util::MinMaxAvg>> plain_stats;
 
+  // One standing world and one campaign runner over the sweep, as the run
+  // loop keeps them: each month evolves from the previous one.
+  gen::DeltaEvolver evolver(study.internet(), study.pool());
+  const gen::CampaignRunner campaign(study.internet(), study.ip2as(),
+                                     study.config().campaign, study.pool());
   for (int cycle = 0; cycle < gen::kCycles; ++cycle) {
     const int year = gen::kFirstYear + cycle / 12;
-    const dataset::MonthData month = study.month_data(cycle);
+    const dataset::MonthData month =
+        campaign.month(evolver, cycle, study.campaign_for(cycle));
     const auto census = lpr::census_by_as(month.cycle());
     for (const auto& [asn, name] : ases) {
       const auto it = census.find(asn);

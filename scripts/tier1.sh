@@ -2,8 +2,9 @@
 # Tier-1 gate: full build + test suite, then a ThreadSanitizer pass over the
 # parallel execution layer (tests/test_parallel) to catch data races the
 # functional tests cannot, then an ASan+UBSan pass over the tolerant-ingest
-# layer (decoder fuzz corpus + chaos, dataset and batch tests) to catch
-# memory errors arbitrary bytes could trigger. On top of that: a failpoint matrix (every io fault
+# layer (decoder fuzz corpus + chaos, dataset and batch tests) and the LPR
+# LSP table (extract, filter, alias and tree tests) to catch memory errors
+# arbitrary bytes or bad pool offsets could trigger. On top of that: a failpoint matrix (every io fault
 # class injected at 2% must leave a campaign contained) and a kill/resume
 # torture loop (real process kills at fixed io-op ordinals; resumed runs
 # must be byte-identical to an uninterrupted one).
@@ -84,18 +85,27 @@ cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
 "$tsan_build/tests/test_evolve"
 "$tsan_build/tests/test_batch"
 
-echo "== tier-1: ASan+UBSan pass over tolerant ingest ($asan_build) =="
+echo "== tier-1: ASan+UBSan pass over tolerant ingest and the LSP table ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
 # test_batch's damaged-pack ingest and the fuzzer's round-trip arm both
 # drive the zero-copy column views over hostile bytes; test_dataset's
 # truncated and bit-flipped pack corpora drive the section-table validator
 # and the damaged-record fill path into batch columns; test_chaos drives
-# the columnar corruptor.
+# the columnar corruptor. The LPR front half keeps its LSPs as rows over
+# pooled LSR and label arrays (lpr::LspTable), indexed by offsets that
+# extraction writes, stitching and filtering rebase, and the alias rewrite
+# rehashes: test_extract, test_filters, test_alias and test_tree drive all
+# of them, against the object-based oracle where it applies.
 cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
-  --target test_batch --target test_dataset
+  --target test_batch --target test_dataset --target test_extract \
+  --target test_filters --target test_alias --target test_tree
 "$asan_build/tools/fuzz_warts" --iters 10000
 "$asan_build/tests/test_chaos"
 "$asan_build/tests/test_batch"
 "$asan_build/tests/test_dataset"
+"$asan_build/tests/test_extract"
+"$asan_build/tests/test_filters"
+"$asan_build/tests/test_alias"
+"$asan_build/tests/test_tree"
 
 echo "== tier-1: OK =="

@@ -55,31 +55,29 @@ std::vector<std::set<net::Ipv4Addr>> AddressUnionFind::sets() const {
 // LabelAliasResolver
 // ----------------------------------------------------------------------
 
-LabelAliasResolver::LabelAliasResolver(
-    const std::vector<LspObservation>& observations) {
+LabelAliasResolver::LabelAliasResolver(const LspTable& observations) {
   // Scope key: (asn, tunnel exit address, top label). Within one scope the
   // label identifies one router (LDP router-scoped labels, one label per
   // FEC); different addresses under the same key are its interfaces.
   std::map<std::tuple<std::uint32_t, net::Ipv4Addr, std::uint32_t>,
            net::Ipv4Addr>
       first_seen;
-  for (const LspObservation& obs : observations) {
-    if (obs.lsp.egress_labeled) continue;  // possibly FEC-mixed (extract.h)
-    for (const LsrHop& hop : obs.lsp.lsrs) {
-      if (hop.labels.empty()) continue;
-      const auto key = std::make_tuple(obs.lsp.asn, obs.lsp.egress,
-                                       hop.labels.front());
-      const auto [it, inserted] = first_seen.try_emplace(key, hop.addr);
-      if (!inserted && it->second != hop.addr) {
-        uf_.merge(it->second, hop.addr);
+  for (const LspRow& row : observations.rows()) {
+    if (row.egress_labeled) continue;  // possibly FEC-mixed (extract.h)
+    for (const LsrEntry& lsr : observations.lsrs(row)) {
+      const auto labels = observations.labels(lsr);
+      if (labels.empty()) continue;
+      const auto key = std::make_tuple(row.asn, row.egress, labels.front());
+      const auto [it, inserted] = first_seen.try_emplace(key, lsr.addr);
+      if (!inserted && it->second != lsr.addr) {
+        uf_.merge(it->second, lsr.addr);
       }
     }
   }
 }
 
-LabelAliasResolver::LabelAliasResolver(
-    const std::vector<LspObservation>& observations,
-    const dataset::TraceBatch& traces)
+LabelAliasResolver::LabelAliasResolver(const LspTable& observations,
+                                       const dataset::TraceBatch& traces)
     : LabelAliasResolver(observations) {
   // Subnet-alignment rule: P -> C adjacency inside one AS implies C's /31
   // mate is an interface of P's router.
@@ -105,22 +103,19 @@ net::Ipv4Addr LabelAliasResolver::canonical(net::Ipv4Addr addr) const {
 // router-level rewriting & evaluation
 // ----------------------------------------------------------------------
 
-std::vector<LspObservation> to_router_level(
-    const std::vector<LspObservation>& observations,
-    const AliasResolver& resolver) {
-  std::vector<LspObservation> out;
-  out.reserve(observations.size());
-  for (const LspObservation& obs : observations) {
-    LspObservation rewritten = obs;
+LspTable to_router_level(const LspTable& observations,
+                         const AliasResolver& resolver) {
+  LspTable out = observations;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const LspRow& row = out.row(i);
     // Canonicalize ONLY the IOTP endpoints. Interior LSR addresses must
     // stay raw: collapsing bundle interfaces to one router address would
     // dedupe physically distinct branches and erase exactly the Parallel
     // Links diversity the classification is supposed to see. The paper's
     // point is coarser *grouping* (<Ingress router; Egress router>), not a
     // coarser view of the paths themselves.
-    rewritten.lsp.ingress = resolver.canonical(obs.lsp.ingress);
-    rewritten.lsp.egress = resolver.canonical(obs.lsp.egress);
-    out.push_back(std::move(rewritten));
+    out.set_endpoints(i, resolver.canonical(row.ingress),
+                      resolver.canonical(row.egress));
   }
   return out;
 }

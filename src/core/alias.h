@@ -63,10 +63,9 @@ class AliasResolver {
 //     P's router: merge(P, C^1).
 class LabelAliasResolver final : public AliasResolver {
  public:
-  explicit LabelAliasResolver(
-      const std::vector<LspObservation>& observations);
+  explicit LabelAliasResolver(const LspTable& observations);
   // Same, plus the subnet-alignment rule over the raw (annotated) traces.
-  LabelAliasResolver(const std::vector<LspObservation>& observations,
+  LabelAliasResolver(const LspTable& observations,
                      const dataset::TraceBatch& traces);
 
   net::Ipv4Addr canonical(net::Ipv4Addr addr) const override;
@@ -82,12 +81,12 @@ class LabelAliasResolver final : public AliasResolver {
 
 // Rewrite observations to router level: the IOTP ENDPOINTS are replaced by
 // their canonical representatives (interior LSR addresses stay raw so the
-// physical branch structure — including Parallel Links — survives). The
-// result feeds the ordinary group_iotps/classify_all pipeline, which then
-// operates on <Ingress router; Egress router> IOTPs.
-std::vector<LspObservation> to_router_level(
-    const std::vector<LspObservation>& observations,
-    const AliasResolver& resolver);
+// physical branch structure — including Parallel Links — survives), and
+// each row's content hash is recomputed over its new endpoints. The result
+// feeds the ordinary group_iotps/classify_all pipeline, which then operates
+// on <Ingress router; Egress router> IOTPs.
+LspTable to_router_level(const LspTable& observations,
+                         const AliasResolver& resolver);
 
 // Accuracy of an inference against ground truth (the simulator knows the
 // real address->router mapping): precision = share of inferred alias PAIRS

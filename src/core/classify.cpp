@@ -1,7 +1,6 @@
 #include "core/classify.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/telemetry.h"
 #include "util/thread_pool.h"
@@ -57,15 +56,16 @@ void fill_metrics(IotpRecord& rec) {
 // Label-sequence identity across branches: true when every branch shows the
 // exact same ordered sequence of label stacks.
 bool identical_label_sequences(const IotpRecord& rec) {
-  const auto sequence = [](const Lsp& lsp) {
-    std::vector<std::vector<std::uint32_t>> seq;
-    seq.reserve(lsp.lsrs.size());
-    for (const LsrHop& hop : lsp.lsrs) seq.push_back(hop.labels);
-    return seq;
+  const auto same_labels = [](const LsrHop& a, const LsrHop& b) {
+    return a.labels == b.labels;
   };
-  const auto reference = sequence(rec.variants.front());
+  const Lsp& reference = rec.variants.front();
   for (std::size_t i = 1; i < rec.variants.size(); ++i) {
-    if (sequence(rec.variants[i]) != reference) return false;
+    const Lsp& lsp = rec.variants[i];
+    if (!std::equal(lsp.lsrs.begin(), lsp.lsrs.end(), reference.lsrs.begin(),
+                    reference.lsrs.end(), same_labels)) {
+      return false;
+    }
   }
   return true;
 }
@@ -112,16 +112,19 @@ ClassCounts& ClassCounts::merge(const ClassCounts& other) noexcept {
 }
 
 std::set<net::Ipv4Addr> common_ips(const IotpRecord& rec) {
-  std::unordered_map<net::Ipv4Addr, int> branch_count;
+  // Every branch's addresses, each once per branch; sorted, an address two
+  // branches share then appears twice in a row.
+  std::vector<net::Ipv4Addr> seen;
   for (const Lsp& lsp : rec.variants) {
-    // Count each address once per branch.
-    std::set<net::Ipv4Addr> in_branch;
-    for (const LsrHop& hop : lsp.lsrs) in_branch.insert(hop.addr);
-    for (const net::Ipv4Addr addr : in_branch) ++branch_count[addr];
+    const auto from = static_cast<std::ptrdiff_t>(seen.size());
+    for (const LsrHop& hop : lsp.lsrs) seen.push_back(hop.addr);
+    std::sort(seen.begin() + from, seen.end());
+    seen.erase(std::unique(seen.begin() + from, seen.end()), seen.end());
   }
+  std::sort(seen.begin(), seen.end());
   std::set<net::Ipv4Addr> out;
-  for (const auto& [addr, n] : branch_count) {
-    if (n >= 2) out.insert(addr);
+  for (std::size_t k = 1; k < seen.size(); ++k) {
+    if (seen[k] == seen[k - 1]) out.insert(out.end(), seen[k]);
   }
   return out;
 }

@@ -1,7 +1,5 @@
 #include "core/extract.h"
 
-#include <algorithm>
-#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -150,31 +148,32 @@ void extract_from_trace(const dataset::TraceView& t,
       continue;
     }
 
-    LspObservation obs;
-    obs.dst_asn = t.dst_asn() != 0 ? t.dst_asn() : ip2as.lookup(t.dst());
-    obs.monitor_id = t.monitor_id();
-    obs.lsp.ingress = addr(first - 1);
-    obs.lsp.asn = run_asn(t, first, last);
+    LspRow head;
+    head.dst_asn = t.dst_asn() != 0 ? t.dst_asn() : ip2as.lookup(t.dst());
+    head.monitor_id = t.monitor_id();
+    head.ingress = addr(first - 1);
+    head.asn = run_asn(t, first, last);
 
     // Exit point: the hop after the run when it still belongs to the
     // tunnel's AS (PHP), else the last labeled hop (non-PHP egress).
-    if (t.hop(last + 1).asn() == obs.lsp.asn && obs.lsp.asn != 0) {
-      obs.lsp.egress = addr(last + 1);
-      obs.lsp.egress_labeled = false;
+    if (t.hop(last + 1).asn() == head.asn && head.asn != 0) {
+      head.egress = addr(last + 1);
+      head.egress_labeled = false;
     } else {
-      obs.lsp.egress = addr(last);
-      obs.lsp.egress_labeled = true;
+      head.egress = addr(last);
+      head.egress_labeled = true;
     }
 
-    obs.lsp.lsrs.reserve(last - first + 1);
+    LspTable& table = out.observations;
+    table.begin_row(head);
     for (std::size_t k = first; k <= last; ++k) {
       if (anonymous(k)) continue;
-      LsrHop lsr;
-      lsr.addr = addr(k);
-      lsr.labels = t.hop(k).labels();
-      obs.lsp.lsrs.push_back(std::move(lsr));
+      table.add_lsr(addr(k));
+      for (const std::uint32_t word : t.hop(k).lse_words()) {
+        table.add_label(word >> 12);
+      }
     }
-    out.observations.push_back(std::move(obs));
+    table.end_row();
   }
 
   if (saw_tunnel) ++out.stats.traces_with_explicit_tunnel;
@@ -211,19 +210,21 @@ ExtractedSnapshot stitch_blocks(std::uint32_t cycle_id,
   out.sub_index = sub_index;
   out.date = std::move(date);
 
-  std::size_t observations = 0, words = 0;
+  std::size_t rows = 0, lsrs = 0, labels = 0, words = 0;
   for (const ExtractedBlock& block : blocks) {
-    observations += block.observations.size();
+    rows += block.observations.size();
+    lsrs += block.observations.lsr_pool_size();
+    labels += block.observations.label_pool_size();
     words += block.census.size();
   }
-  out.observations.reserve(observations);
+  out.observations.reserve(rows, lsrs, labels);
   // Census union: an address shared by blocks counts once, as MPLS when
   // any block saw it inside a labeled run.
   AddrCensus census(words);
   for (ExtractedBlock& block : blocks) {
     out.stats.merge(block.stats);
-    std::move(block.observations.begin(), block.observations.end(),
-              std::back_inserter(out.observations));
+    out.observations.append(block.observations);
+    block.observations = LspTable();
     for (const std::uint64_t word : block.census) census.add(word);
   }
   out.stats.mpls_ips = census.labeled();

@@ -13,6 +13,10 @@
 //
 // A run is *incomplete* — and dropped, counted — when the run or either
 // endpoint hop is anonymous, or when the run touches the ends of the trace.
+//
+// Each complete run becomes one LspTable row (model.h), written straight
+// from the hop columns and the LSE words (label = word >> 12) with its
+// content hash computed as the row closes; nothing is allocated per LSP.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +50,7 @@ struct ExtractedSnapshot {
   std::uint32_t cycle_id = 0;
   std::uint32_t sub_index = 0;
   std::string date;
-  std::vector<LspObservation> observations;
+  LspTable observations;
   ExtractStats stats;
 };
 
@@ -56,7 +60,7 @@ struct ExtractedSnapshot {
 // counters stay 0, because uniqueness is a property of the snapshot:
 // stitch_blocks settles them from `census`.
 struct ExtractedBlock {
-  std::vector<LspObservation> observations;
+  LspTable observations;
   ExtractStats stats;
   // The block's unique responding addresses, one word each, in no
   // particular order: (addr << 1) | 1 when the address appears inside a
@@ -72,8 +76,9 @@ struct ExtractedBlock {
 ExtractedBlock extract_block(const dataset::TraceBatch& traces,
                              const dataset::Ip2As& ip2as);
 
-// One snapshot from its blocks, given in monitor order (consumed):
-// observations are concatenated, counters summed, and the unique-address
+// One snapshot from its blocks, given in monitor order (consumed): the
+// blocks' tables are appended in order with their pool ranges rebased (row
+// hashes carry over), counters summed, and the unique-address
 // counters taken over the union of the blocks' censuses — an address
 // labeled in any block counts as MPLS. Equals extract_lsps over the
 // snapshot that merges the same blocks.

@@ -10,11 +10,18 @@
 // Plus the "dynamic AS" rule: when Persistence would wipe out (nearly) all
 // LSPs of an AS, the whole set is reinjected and the AS is tagged dynamic —
 // frequent label churn is itself a TE signal (Sec. 4.5), not noise.
+//
+// The filters work on the extracted LspTable's rows and its hash column:
+// Persistence looks row hashes up in the sorted hash columns of the
+// following snapshots (collisions are astronomically unlikely at our
+// scales), TransitDiversity counts destination ASes per IOTP by sorting
+// (IotpKey, dst_asn) pairs, and the survivors are copied row by row into
+// the filtered table, in their extracted order. group_iotps then walks
+// those rows and materializes an Lsp only for each distinct variant of an
+// IOTP.
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -49,15 +56,10 @@ struct FilterStats {
 struct FilteredCycle {
   std::uint32_t cycle_id = 0;
   std::string date;
-  std::vector<LspObservation> observations;
+  LspTable observations;  // the survivors, in extracted order
   std::unordered_set<std::uint32_t> dynamic_asns;  // tagged by reinjection
   FilterStats stats;
 };
-
-// Content-hash set of the LSPs present in a snapshot (what Persistence
-// compares against). Collisions are astronomically unlikely at our scales.
-std::unordered_set<std::uint64_t> lsp_content_set(
-    const ExtractedSnapshot& snapshot);
 
 // Apply the full filter pipeline to the cycle snapshot of a month.
 // `following` are the extracted snapshots X+1 ... X+j of the same month (any
@@ -68,9 +70,10 @@ FilteredCycle apply_filters(const ExtractedSnapshot& cycle,
                             const std::vector<ExtractedSnapshot>& following,
                             const FilterConfig& config);
 
-// Group filtered observations into IOTPs (variants deduplicated, destination
-// ASes accumulated). Classification runs on this.
-std::vector<IotpRecord> group_iotps(
-    const std::vector<LspObservation>& observations);
+// Group filtered observations into IOTPs, sorted by key: variants are
+// deduplicated by content hash confirmed by pool equality and kept in
+// first-seen order, destination ASes accumulated. Classification runs on
+// this.
+std::vector<IotpRecord> group_iotps(const LspTable& observations);
 
 }  // namespace mum::lpr

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 namespace mum::lpr {
 
@@ -59,25 +58,36 @@ void classify_tree(EgressTree& tree) {
 
 }  // namespace
 
-std::vector<EgressTree> build_egress_trees(
-    const std::vector<LspObservation>& observations) {
-  std::map<TreeKey, EgressTree> trees;
-  for (const LspObservation& obs : observations) {
-    const TreeKey key{obs.lsp.asn, obs.lsp.egress};
-    EgressTree& tree = trees[key];
+std::vector<EgressTree> build_egress_trees(const LspTable& observations) {
+  // Each tree with the row of each of its branches' first sighting.
+  struct Growing {
+    EgressTree tree;
+    std::vector<std::uint32_t> branch_rows;
+  };
+  std::map<TreeKey, Growing> trees;
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    const LspRow& row = observations.row(i);
+    const TreeKey key{row.asn, row.egress};
+    Growing& growing = trees[key];
+    EgressTree& tree = growing.tree;
     tree.key = key;
-    tree.ingresses.insert(obs.lsp.ingress);
-    tree.dst_asns.insert(obs.dst_asn);
-    if (std::find(tree.branches.begin(), tree.branches.end(), obs.lsp) ==
-        tree.branches.end()) {
-      tree.branches.push_back(obs.lsp);
+    tree.ingresses.insert(row.ingress);
+    tree.dst_asns.insert(row.dst_asn);
+    std::vector<std::uint32_t>& rows = growing.branch_rows;
+    const bool seen =
+        std::any_of(rows.begin(), rows.end(), [&](std::uint32_t b) {
+          return observations.same_lsp(b, i);
+        });
+    if (!seen) {
+      rows.push_back(static_cast<std::uint32_t>(i));
+      tree.branches.push_back(observations.lsp(i));
     }
   }
   std::vector<EgressTree> out;
   out.reserve(trees.size());
-  for (auto& [key, tree] : trees) {
-    classify_tree(tree);
-    out.push_back(std::move(tree));
+  for (auto& [key, growing] : trees) {
+    classify_tree(growing.tree);
+    out.push_back(std::move(growing.tree));
   }
   return out;
 }

@@ -54,9 +54,10 @@ struct EgressTree {
   int max_in_degree = 0;
 };
 
-// Group observations into egress-rooted trees and classify each.
-std::vector<EgressTree> build_egress_trees(
-    const std::vector<LspObservation>& observations);
+// Group observations into egress-rooted trees and classify each. Branches
+// are deduplicated by content hash confirmed by pool equality, kept in
+// first-seen order, and materialized as Lsp objects.
+std::vector<EgressTree> build_egress_trees(const LspTable& observations);
 
 struct TreeStats {
   std::uint64_t trees = 0;

@@ -142,14 +142,6 @@ void TraceBatch::assign_columns(std::span<const std::uint32_t> monitor,
   }
 }
 
-std::vector<std::uint32_t> HopView::labels() const {
-  const auto words = lse_words();
-  std::vector<std::uint32_t> out;
-  out.reserve(words.size());
-  for (const std::uint32_t w : words) out.push_back(w >> 12);
-  return out;
-}
-
 net::LabelStack HopView::label_stack() const {
   const auto words = lse_words();
   std::vector<net::LabelStackEntry> entries;

@@ -56,10 +56,9 @@ class HopView {
   bool anonymous() const noexcept { return addr() == net::kAnonymousAddr; }
   std::size_t label_depth() const noexcept;
   bool has_labels() const noexcept { return label_depth() != 0; }
-  // RFC 3032 wire words of the quoted stack, top first.
+  // RFC 3032 wire words of the quoted stack, top first; a word's label
+  // value (what LPR compares) is word >> 12.
   std::span<const std::uint32_t> lse_words() const noexcept;
-  // Label values, top first (what LPR compares).
-  std::vector<std::uint32_t> labels() const;
   // The quoted stack as a net::LabelStack (text rendering, tests).
   net::LabelStack label_stack() const;
 

@@ -33,7 +33,8 @@ enum class Stage : std::uint8_t {
   kIngest,        // chaos round-trip / shard decode / re-annotation
   kSpf,           // IGP (re)computation, wherever it runs (inside generate)
   kClassify,      // LPR pipeline: [extract +] filter + group + classify
-                  // (extract only for a materialized month)
+                  // (extract only for a materialized month); filter and
+                  // group run over the month's flat LSP tables
   kReport,        // checkpoint/report serialization and write-out
 };
 inline constexpr std::size_t kStageCount = 5;

@@ -7,13 +7,16 @@
 //
 // The month streams: each monitor task of the campaign fan-out probes,
 // annotates and extracts its own block (gen::CampaignRunner::stream_month
-// with lpr::extract_block as the sink), and the runner stitches each
-// snapshot's blocks in monitor order (lpr::stitch_blocks). No merged
-// snapshot exists unless its bytes are consumed: data chaos (the corrupted
-// snapshot is extracted as one block) and --checkpoint-data shards take the
-// materialized month instead, as does the from-scratch run_cycle. Streamed
-// extraction runs inside generation, so a cycle's manifest counts it in the
-// `generate` stage; `classify` then covers filter, group and classify only.
+// with lpr::extract_block as the sink, writing each block's LSPs as rows of
+// a flat lpr::LspTable), and the runner stitches each snapshot's blocks in
+// monitor order (lpr::stitch_blocks). No merged snapshot exists unless its
+// bytes are consumed: data chaos (the corrupted snapshot is extracted as
+// one block) and --checkpoint-data shards take the materialized month
+// instead, as does the from-scratch run_cycle. Streamed extraction runs
+// inside generation, so a cycle's manifest counts it in the `generate`
+// stage; `classify` then covers the filters (over table rows and the hash
+// column), grouping (an lpr::Lsp per distinct IOTP variant only),
+// classification and dropping the month's tables.
 //
 // The fig*/table* binaries, the CLI and the examples all share this one
 // API.
@@ -116,6 +119,13 @@ class Runner {
   const dataset::Ip2As& ip2as() const noexcept { return ip2as_; }
   // Effective thread count (config.threads resolved against hardware).
   unsigned threads() const noexcept;
+  // The runner's pool; null when threads() is 1.
+  util::ThreadPool* pool() const noexcept { return pool_.get(); }
+  // The campaign configuration of one cycle (the configured fleet dips
+  // applied). Benches that sweep months hold one gen::CampaignRunner and
+  // one gen::DeltaEvolver over the sweep, as run_all_contained does, and
+  // pass this per cycle.
+  gen::CampaignConfig campaign_for(int cycle) const;
 
   // Random access: instantiate one cycle's world from scratch, generate its
   // month and run the LPR pipeline on it. Monitor fan-out and
@@ -139,7 +149,6 @@ class Runner {
   RunOutcome run_all_contained() const;
 
  private:
-  gen::CampaignConfig campaign_for(int cycle) const;
   // The month streamed through extraction against the standing world:
   // every monitor block is extracted inside the fan-out, then each
   // snapshot is stitched in monitor order.

@@ -5,8 +5,8 @@
 // lpr::extract_block as the sink and stitches each snapshot's blocks in
 // monitor order, over the public API the run loop uses. The materialized
 // oracle is CampaignRunner::month + lpr::extract_lsps per snapshot;
-// expect_same_extraction() compares observations field by field and every
-// ExtractStats counter.
+// expect_same_extraction() compares the LSP tables row by row (every field
+// and the content hash) and every ExtractStats counter.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -59,12 +59,14 @@ inline void expect_same_extraction(const lpr::ExtractedSnapshot& got,
   EXPECT_EQ(g.non_mpls_ips, w.non_mpls_ips);
   ASSERT_EQ(got.observations.size(), want.observations.size());
   for (std::size_t i = 0; i < got.observations.size(); ++i) {
-    const lpr::LspObservation& a = got.observations[i];
-    const lpr::LspObservation& b = want.observations[i];
-    ASSERT_TRUE(a.lsp == b.lsp) << "observation " << i;
-    EXPECT_EQ(a.lsp.egress_labeled, b.lsp.egress_labeled);
+    const lpr::LspRow& a = got.observations.row(i);
+    const lpr::LspRow& b = want.observations.row(i);
+    ASSERT_TRUE(got.observations.lsp(i) == want.observations.lsp(i))
+        << "observation " << i;
+    EXPECT_EQ(a.egress_labeled, b.egress_labeled);
     EXPECT_EQ(a.dst_asn, b.dst_asn);
     EXPECT_EQ(a.monitor_id, b.monitor_id);
+    EXPECT_EQ(a.content_hash, b.content_hash);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/filters.h"
 #include "gen/campaign.h"
 #include "gen/internet.h"
+#include "lpr_reference.h"
 
 namespace mum::lpr {
 namespace {
@@ -59,6 +60,9 @@ TEST(AddressUnionFind, CanonicalStableUnderMergeOrder) {
 
 // --- label-based inference --------------------------------------------------
 
+using reference::LspObservation;
+using reference::table_of;
+
 LspObservation obs(std::uint32_t egress,
                    std::vector<std::pair<std::uint32_t, std::uint32_t>> hops) {
   LspObservation o;
@@ -75,7 +79,7 @@ LspObservation obs(std::uint32_t egress,
 TEST(LabelAlias, SameLabelSameScopeMerges) {
   // Two bundle interfaces of one router: same label toward same exit.
   const LabelAliasResolver resolver(
-      {obs(100, {{10, 500}}), obs(100, {{11, 500}})});
+      table_of({obs(100, {{10, 500}}), obs(100, {{11, 500}})}));
   EXPECT_EQ(resolver.canonical(ip(10)), resolver.canonical(ip(11)));
   ASSERT_EQ(resolver.alias_sets().size(), 1u);
 }
@@ -84,21 +88,21 @@ TEST(LabelAlias, DifferentExitScopesDoNotMerge) {
   // Same label value toward DIFFERENT exits: different routers' counters
   // colliding — must not merge.
   const LabelAliasResolver resolver(
-      {obs(100, {{10, 500}}), obs(200, {{11, 500}})});
+      table_of({obs(100, {{10, 500}}), obs(200, {{11, 500}})}));
   EXPECT_NE(resolver.canonical(ip(10)), resolver.canonical(ip(11)));
   EXPECT_TRUE(resolver.alias_sets().empty());
 }
 
 TEST(LabelAlias, DifferentLabelsDoNotMerge) {
   const LabelAliasResolver resolver(
-      {obs(100, {{10, 500}}), obs(100, {{11, 501}})});
+      table_of({obs(100, {{10, 500}}), obs(100, {{11, 501}})}));
   EXPECT_TRUE(resolver.alias_sets().empty());
 }
 
 TEST(LabelAlias, NonPhpObservationsIgnored) {
   auto risky = obs(100, {{10, 500}});
   risky.lsp.egress_labeled = true;  // FEC-mixed interpretation
-  const LabelAliasResolver resolver({risky, obs(100, {{11, 500}})});
+  const LabelAliasResolver resolver(table_of({risky, obs(100, {{11, 500}})}));
   EXPECT_TRUE(resolver.alias_sets().empty());
 }
 
@@ -107,12 +111,15 @@ TEST(LabelAlias, NonPhpObservationsIgnored) {
 TEST(RouterLevel, RewriteCanonicalizesEndpointsOnly) {
   // 100/101 are aliases (same label toward exit 200 in the teaching set).
   const LabelAliasResolver resolver(
-      {obs(200, {{100, 700}}), obs(200, {{101, 700}})});
+      table_of({obs(200, {{100, 700}}), obs(200, {{101, 700}})}));
   auto o = obs(101, {{11, 500}});
-  const auto rewritten = to_router_level({o}, resolver);
+  const auto rewritten = to_router_level(table_of({o}), resolver);
   ASSERT_EQ(rewritten.size(), 1u);
-  EXPECT_EQ(rewritten[0].lsp.egress, ip(100));       // endpoint merged
-  EXPECT_EQ(rewritten[0].lsp.lsrs[0].addr, ip(11));  // interior untouched
+  EXPECT_EQ(rewritten.row(0).egress, ip(100));       // endpoint merged
+  EXPECT_EQ(rewritten.lsp(0).lsrs[0].addr, ip(11));  // interior untouched
+  // The row hash follows the new endpoints.
+  EXPECT_EQ(rewritten.row(0).content_hash, rewritten.lsp(0).content_hash());
+  EXPECT_NE(rewritten.row(0).content_hash, o.lsp.content_hash());
 }
 
 TEST(RouterLevel, MergesParallelLinkIotps) {
@@ -123,16 +130,42 @@ TEST(RouterLevel, MergesParallelLinkIotps) {
   o2.dst_asn = 10;
   // Teach the resolver that exits 100/101 are aliases (same label seen at
   // both from a second vantage... emulate with a manual merge scope):
-  const LabelAliasResolver base({obs(200, {{100, 700}}),
-                                 obs(200, {{101, 700}})});
+  const LabelAliasResolver base(
+      table_of({obs(200, {{100, 700}}),
+                                 obs(200, {{101, 700}})}));
   ASSERT_EQ(base.canonical(ip(100)), base.canonical(ip(101)));
 
-  const auto ip_level = group_iotps({o1, o2});
+  const auto ip_level = group_iotps(table_of({o1, o2}));
   EXPECT_EQ(ip_level.size(), 2u);
-  auto router_level = group_iotps(to_router_level({o1, o2}, base));
+  auto router_level = group_iotps(to_router_level(table_of({o1, o2}), base));
   ASSERT_EQ(router_level.size(), 1u);
   classify_iotp(router_level[0]);
   EXPECT_EQ(router_level[0].dst_asns.size(), 2u);
+}
+
+TEST(RouterLevelOracle, RewriteGroupsLikeOracle) {
+  // Exits 100 and 101 are aliases (same label toward exit 200). After the
+  // rewrite the two sightings of 10/500 carry the same endpoints, so the
+  // recomputed hashes must dedupe them into one variant, as the oracle's
+  // Lsp equality does.
+  auto toward_101 = obs(101, {{10, 500}});
+  toward_101.dst_asn = 10;
+  const std::vector<LspObservation> observations = {
+      obs(100, {{10, 500}}), toward_101, obs(101, {{11, 500}}),
+      obs(200, {{100, 700}}), obs(200, {{101, 700}})};
+  const LabelAliasResolver resolver(table_of(observations));
+  ASSERT_EQ(resolver.canonical(ip(101)), ip(100));
+
+  auto got = group_iotps(to_router_level(table_of(observations), resolver));
+  auto want = reference::group_iotps(
+      reference::to_router_level(observations, resolver));
+  classify_all(got);
+  classify_all(want);
+  reference::expect_same_records(got, want);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].key.egress, ip(100));
+  EXPECT_EQ(got[0].variants.size(), 2u);  // 10/500 once, 11/500
+  EXPECT_EQ(got[0].dst_asns, (std::vector<std::uint32_t>{9, 10}));
 }
 
 // --- accuracy ----------------------------------------------------------------

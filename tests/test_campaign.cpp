@@ -10,6 +10,7 @@
 #include "util/thread_pool.h"
 
 #include <set>
+#include <unordered_set>
 
 namespace mum::gen {
 namespace {
@@ -112,19 +113,29 @@ TEST_F(CampaignTest, CampaignDeterministicForSameSeed) {
   }
 }
 
+// The content hashes of a snapshot's LSPs.
+std::unordered_set<std::uint64_t> content_set(
+    const ::mum::lpr::ExtractedSnapshot& snapshot) {
+  std::unordered_set<std::uint64_t> out;
+  for (const auto& row : snapshot.observations.rows()) {
+    out.insert(row.content_hash);
+  }
+  return out;
+}
+
 TEST_F(CampaignTest, MostLspContentPersistsAcrossSnapshots) {
   // The Persistence filter depends on high-but-not-total overlap between a
   // month's snapshots.
   const auto month = runner.month(50);
   const auto c0 = ::mum::lpr::extract_lsps(month.snapshots[0], ip2as);
   const auto c1 = ::mum::lpr::extract_lsps(month.snapshots[1], ip2as);
-  const auto set1 = ::mum::lpr::lsp_content_set(c1);
+  const auto set1 = content_set(c1);
   std::size_t kept = 0;
   std::size_t total = 0;
-  for (const auto& obs : c0.observations) {
-    if (obs.lsp.asn == kAsnVodafone) continue;  // dynamic labels churn
+  for (const auto& row : c0.observations.rows()) {
+    if (row.asn == kAsnVodafone) continue;  // dynamic labels churn
     ++total;
-    kept += set1.contains(obs.lsp.content_hash()) ? 1 : 0;
+    kept += set1.contains(row.content_hash) ? 1 : 0;
   }
   ASSERT_GT(total, 50u);
   const double share = static_cast<double>(kept) / static_cast<double>(total);
@@ -136,12 +147,12 @@ TEST_F(CampaignTest, VodafoneLabelsChurnBetweenSnapshots) {
   const auto month = runner.month(50);
   const auto c0 = ::mum::lpr::extract_lsps(month.snapshots[0], ip2as);
   const auto c1 = ::mum::lpr::extract_lsps(month.snapshots[1], ip2as);
-  const auto set1 = ::mum::lpr::lsp_content_set(c1);
+  const auto set1 = content_set(c1);
   std::size_t kept = 0, total = 0;
-  for (const auto& obs : c0.observations) {
-    if (obs.lsp.asn != kAsnVodafone) continue;
+  for (const auto& row : c0.observations.rows()) {
+    if (row.asn != kAsnVodafone) continue;
     ++total;
-    kept += set1.contains(obs.lsp.content_hash()) ? 1 : 0;
+    kept += set1.contains(row.content_hash) ? 1 : 0;
   }
   if (total > 0) {
     EXPECT_LT(static_cast<double>(kept) / static_cast<double>(total), 0.2);
@@ -164,8 +175,8 @@ TEST_F(CampaignTest, Level3AppearsMidApril2012) {
   auto level3_lsps = [&](const dataset::SnapshotBatch& snap) {
     const auto extracted = ::mum::lpr::extract_lsps(snap, ip2as);
     std::size_t n = 0;
-    for (const auto& obs : extracted.observations) {
-      if (obs.lsp.asn == kAsnLevel3) ++n;
+    for (const auto& row : extracted.observations.rows()) {
+      if (row.asn == kAsnLevel3) ++n;
     }
     return n;
   };

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "lpr_reference.h"
+
 namespace mum::lpr {
 namespace {
+
+using reference::LspObservation;
 
 net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
 
@@ -26,7 +30,7 @@ ExtractedSnapshot snap_of(std::vector<LspObservation> observations,
                           std::uint32_t cycle = 5) {
   ExtractedSnapshot s;
   s.cycle_id = cycle;
-  s.observations = std::move(observations);
+  s.observations = reference::table_of(observations);
   s.stats.lsps_observed = s.observations.size();
   return s;
 }
@@ -47,7 +51,7 @@ TEST(Filters, IntraAsDropsAsnZero) {
   EXPECT_EQ(result.stats.complete, 2u);
   EXPECT_EQ(result.stats.after_intra_as, 1u);
   ASSERT_EQ(result.observations.size(), 1u);
-  EXPECT_EQ(result.observations[0].lsp.asn, 65001u);
+  EXPECT_EQ(result.observations.row(0).asn, 65001u);
 }
 
 TEST(Filters, IntraAsCanBeDisabled) {
@@ -68,7 +72,7 @@ TEST(Filters, TargetAsDropsTunnelsTowardOwnAs) {
   const auto result = apply_filters(cycle, {}, config);
   EXPECT_EQ(result.stats.after_intra_as, 2u);
   EXPECT_EQ(result.stats.after_target_as, 1u);
-  EXPECT_EQ(result.observations[0].dst_asn, 65099u);
+  EXPECT_EQ(result.observations.row(0).dst_asn, 65099u);
 }
 
 TEST(Filters, TransitDiversityNeedsTwoDestAses) {
@@ -78,8 +82,8 @@ TEST(Filters, TransitDiversityNeedsTwoDestAses) {
                         obs(65001, 5, 6, {200}, 10)});  // two dst ASes
   const auto result = apply_filters(cycle, {}, no_persistence());
   EXPECT_EQ(result.stats.after_transit_diversity, 2u);
-  for (const auto& o : result.observations) {
-    EXPECT_EQ(o.lsp.ingress, ip(5));
+  for (const LspRow& o : result.observations.rows()) {
+    EXPECT_EQ(o.ingress, ip(5));
   }
 }
 
@@ -104,8 +108,8 @@ TEST(Filters, PersistenceKeepsLspSeenInNextSnapshot) {
   const auto result = apply_filters(cycle, {next1, next2}, config);
   EXPECT_EQ(result.stats.after_transit_diversity, 3u);
   EXPECT_EQ(result.stats.after_persistence, 2u);
-  for (const auto& o : result.observations) {
-    EXPECT_EQ(o.lsp.lsrs[0].labels[0], 100u);
+  for (std::size_t i = 0; i < result.observations.size(); ++i) {
+    EXPECT_EQ(result.observations.lsp(i).lsrs[0].labels[0], 100u);
   }
 }
 
@@ -179,12 +183,82 @@ TEST(Filters, StatsChainMonotone) {
 }
 
 TEST(Filters, LspContentSetMatchesHashes) {
+  // The hash column Persistence compares is Lsp::content_hash per row.
   const auto o1 = obs(65001, 1, 2, {100}, 9);
   const auto o2 = obs(65001, 1, 2, {101}, 9);
-  const auto set = lsp_content_set(snap_of({o1, o2}));
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_TRUE(set.contains(o1.lsp.content_hash()));
-  EXPECT_TRUE(set.contains(o2.lsp.content_hash()));
+  const ExtractedSnapshot snap = snap_of({o1, o2});
+  ASSERT_EQ(snap.observations.size(), 2u);
+  EXPECT_EQ(snap.observations.row(0).content_hash, o1.lsp.content_hash());
+  EXPECT_EQ(snap.observations.row(1).content_hash, o2.lsp.content_hash());
+  EXPECT_NE(snap.observations.row(0).content_hash,
+            snap.observations.row(1).content_hash);
+}
+
+// --- against the object-based oracle ----------------------------------------
+
+reference::ExtractedSnapshot oracle_snap(
+    std::vector<LspObservation> observations) {
+  reference::ExtractedSnapshot s;
+  s.cycle_id = 5;
+  s.observations = std::move(observations);
+  s.stats.lsps_observed = s.observations.size() + 1;  // one incomplete
+  return s;
+}
+
+// The production and oracle pipelines over the same month.
+void expect_oracle_month(const std::vector<reference::ExtractedSnapshot>& month,
+                         const FilterConfig& config = {}) {
+  std::vector<ExtractedSnapshot> production;
+  for (const auto& snapshot : month) {
+    production.push_back(reference::production(snapshot));
+  }
+  reference::expect_same_pipeline(production, month, config);
+}
+
+TEST(FiltersOracle, TransitDiversityAtExactlyTwoDestinationAses) {
+  const auto cycle = oracle_snap({
+      obs(65001, 1, 2, {100}, 9), obs(65001, 1, 2, {101}, 9),
+      obs(65001, 1, 2, {100}, 9),                               // one AS
+      obs(65001, 5, 6, {200}, 9), obs(65001, 5, 6, {201}, 10),
+      obs(65001, 5, 6, {200}, 9),                               // exactly 2
+      obs(65002, 5, 6, {200}, 10),                              // other AS
+      obs(65001, 7, 8, {300}, 9), obs(65001, 7, 8, {300}, 10),
+      obs(65001, 7, 8, {300}, 11)});                            // three
+  const auto result = apply_filters(reference::production(cycle), {},
+                                    no_persistence());
+  EXPECT_EQ(result.stats.after_transit_diversity, 6u);
+  expect_oracle_month({cycle}, no_persistence());
+}
+
+// 20 LSPs of one AS, `persisting` of them seen again: at the default
+// threshold (0.85), 3 of 20 surviving (0.15) is a dynamic AS, 4 is not.
+std::vector<reference::ExtractedSnapshot> churned_month(int persisting) {
+  std::vector<LspObservation> cycle, next;
+  for (std::uint32_t k = 0; k < 20; ++k) {
+    cycle.push_back(obs(65001, 1, 2, {100 + k}, 9 + k % 2));
+    next.push_back(obs(65001, 1, 2,
+                       {static_cast<int>(k) < persisting ? 100 + k : 900 + k},
+                       9));
+  }
+  cycle.push_back(obs(65002, 5, 6, {300}, 9));  // a stable second AS
+  cycle.push_back(obs(65002, 5, 6, {300}, 10));
+  next.push_back(obs(65002, 5, 6, {300}, 9));
+  return {oracle_snap(cycle), oracle_snap(next)};
+}
+
+TEST(FiltersOracle, DynamicReinjectionAtTheThreshold) {
+  for (const int persisting : {3, 4}) {
+    SCOPED_TRACE(testing::Message() << "persisting=" << persisting);
+    const auto month = churned_month(persisting);
+    const auto result =
+        apply_filters(reference::production(month[0]),
+                      {reference::production(month[1])}, FilterConfig{});
+    EXPECT_EQ(result.dynamic_asns.contains(65001), persisting == 3);
+    EXPECT_FALSE(result.dynamic_asns.contains(65002));
+    EXPECT_EQ(result.stats.after_persistence,
+              persisting == 3 ? 22u : static_cast<std::uint64_t>(persisting) + 2);
+    expect_oracle_month(month);
+  }
 }
 
 // --- group_iotps --------------------------------------------------------
@@ -193,30 +267,31 @@ TEST(GroupIotps, DeduplicatesVariantsAndAccumulatesDests) {
   const auto o1 = obs(65001, 1, 2, {100}, 9);
   const auto o1_again = obs(65001, 1, 2, {100}, 10);
   const auto o2 = obs(65001, 1, 2, {101}, 11);
-  const auto records = group_iotps({o1, o1_again, o2});
+  const auto records = group_iotps(reference::table_of({o1, o1_again, o2}));
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].variants.size(), 2u);  // {100} and {101}
   EXPECT_EQ(records[0].dst_asns, (std::vector<std::uint32_t>{9, 10, 11}));
 }
 
 TEST(GroupIotps, SeparatesByEndpointsAndAs) {
-  const auto records = group_iotps({obs(65001, 1, 2, {100}, 9),
-                                    obs(65001, 1, 3, {100}, 9),
-                                    obs(65002, 1, 2, {100}, 9)});
+  const auto records =
+      group_iotps(reference::table_of({obs(65001, 1, 2, {100}, 9),
+                                       obs(65001, 1, 3, {100}, 9),
+                                       obs(65002, 1, 2, {100}, 9)}));
   EXPECT_EQ(records.size(), 3u);
 }
 
 TEST(GroupIotps, DeterministicOrder) {
-  const auto a = group_iotps({obs(65002, 1, 2, {1}, 9),
-                              obs(65001, 5, 6, {2}, 9),
-                              obs(65001, 3, 4, {3}, 9)});
+  const auto a = group_iotps(reference::table_of({obs(65002, 1, 2, {1}, 9),
+                                                 obs(65001, 5, 6, {2}, 9),
+                                                 obs(65001, 3, 4, {3}, 9)}));
   ASSERT_EQ(a.size(), 3u);
   EXPECT_LT(a[0].key, a[1].key);
   EXPECT_LT(a[1].key, a[2].key);
 }
 
 TEST(GroupIotps, EmptyInput) {
-  EXPECT_TRUE(group_iotps({}).empty());
+  EXPECT_TRUE(group_iotps(LspTable()).empty());
 }
 
 }  // namespace

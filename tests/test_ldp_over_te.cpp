@@ -143,7 +143,7 @@ TEST(LdpOverTe, ExtractionHandlesStackedRuns) {
 
   const auto extracted = lpr::extract_lsps(snap, ip2as);
   ASSERT_EQ(extracted.observations.size(), 1u);
-  const auto& lsp = extracted.observations[0].lsp;
+  const lpr::Lsp lsp = extracted.observations.lsp(0);
   ASSERT_EQ(lsp.lsrs.size(), 2u);
   EXPECT_EQ(lsp.lsrs[0].labels.size(), 2u);  // stacked hop preserved
   EXPECT_EQ(lsp.lsrs[1].labels.size(), 1u);
@@ -157,7 +157,6 @@ TEST(LdpOverTe, SameTunnelForAllDestsKeepsIotpMonoLsp) {
   const auto ids = f.rsvp->signal(f.a, f.m, 1, f.pools, rng);
   f.plane.te_policy.hub_tunnels[f.a] = ids;
 
-  std::vector<lpr::LspObservation> observations;
   Monitor monitor;
   monitor.id = 0;
   monitor.addr = ip(0x30000001);

@@ -2,6 +2,7 @@
 
 #include "core/metrics.h"
 #include "core/report.h"
+#include "lpr_reference.h"
 
 namespace mum::lpr {
 namespace {
@@ -62,6 +63,8 @@ TEST(Metrics, EmptyRecords) {
 
 // --- report / pipeline --------------------------------------------------
 
+using reference::LspObservation;
+
 LspObservation obs(std::uint32_t asn, std::uint32_t ingress,
                    std::uint32_t label, std::uint32_t dst_asn) {
   LspObservation o;
@@ -77,9 +80,9 @@ TEST(Report, PipelineFromExtractedSnapshots) {
   ExtractedSnapshot cycle;
   cycle.cycle_id = 7;
   cycle.date = "2012-08";
-  cycle.observations = {obs(65001, 1, 100, 9), obs(65001, 1, 100, 10),
+  cycle.observations = reference::table_of({obs(65001, 1, 100, 9), obs(65001, 1, 100, 10),
                         obs(65001, 1, 101, 11),   // second FEC
-                        obs(65002, 5, 300, 9), obs(65002, 5, 300, 10)};
+                        obs(65002, 5, 300, 9), obs(65002, 5, 300, 10)});
   cycle.stats.lsps_observed = 5;
 
   ExtractedSnapshot next = cycle;  // everything persists
@@ -99,9 +102,9 @@ TEST(Report, PipelineFromExtractedSnapshots) {
 TEST(Report, DynamicTagSurfacesInReport) {
   ExtractedSnapshot cycle;
   cycle.cycle_id = 1;
-  cycle.observations = {obs(65001, 1, 100, 9), obs(65001, 1, 101, 10)};
+  cycle.observations = reference::table_of({obs(65001, 1, 100, 9), obs(65001, 1, 101, 10)});
   ExtractedSnapshot next;  // labels churned away entirely
-  next.observations = {obs(65001, 1, 500, 9)};
+  next.observations = reference::table_of({obs(65001, 1, 500, 9)});
   const CycleReport report = run_pipeline(cycle, {next}, {});
   ASSERT_TRUE(report.dynamic_as.contains(65001));
   EXPECT_TRUE(report.dynamic_as.at(65001));
@@ -113,8 +116,8 @@ TEST(Report, AsSeriesTracksCycles) {
     ExtractedSnapshot cycle;
     cycle.cycle_id = c;
     if (c >= 1) {  // AS appears from cycle 1 on
-      cycle.observations = {obs(65001, 1, 100, 9),
-                            obs(65001, 1, 100, 10)};
+      cycle.observations = reference::table_of({obs(65001, 1, 100, 9),
+                            obs(65001, 1, 100, 10)});
     }
     ExtractedSnapshot next = cycle;
     longitudinal.cycles.push_back(run_pipeline(cycle, {next}, {}));
@@ -139,7 +142,7 @@ TEST(Report, AliasHeuristicConfigPlumbsThrough) {
   o2.dst_asn = 10;
 
   ExtractedSnapshot cycle;
-  cycle.observations = {o1, o2};
+  cycle.observations = reference::table_of({o1, o2});
   const ExtractedSnapshot next = cycle;
 
   PipelineConfig plain;

@@ -240,8 +240,8 @@ TEST(Determinism, ExtractedSnapshotIdenticalAcrossThreadCounts) {
     EXPECT_EQ(es.stats.mpls_ips, ep.stats.mpls_ips);
     ASSERT_EQ(es.observations.size(), ep.observations.size());
     for (std::size_t o = 0; o < es.observations.size(); ++o) {
-      EXPECT_EQ(es.observations[o].lsp.content_hash(),
-                ep.observations[o].lsp.content_hash());
+      EXPECT_EQ(es.observations.row(o).content_hash,
+                ep.observations.row(o).content_hash);
     }
   }
 }

@@ -88,18 +88,20 @@ TEST_P(PropertySweep, LdpLabelsAreRouterScopedInTraces) {
   std::map<std::tuple<std::uint32_t, net::Ipv4Addr, net::Ipv4Addr>,
            std::set<std::uint32_t>>
       labels_by_addr_fec;
-  for (const auto& obs : extracted.observations) {
-    const auto* plane = ctx.plane_of(obs.lsp.asn);
+  const lpr::LspTable& lsps = extracted.observations;
+  for (const lpr::LspRow& row : lsps.rows()) {
+    const auto* plane = ctx.plane_of(row.asn);
     if (plane == nullptr || plane->rsvp != nullptr) continue;  // LDP-only AS
     // Skip runs extraction interpreted as non-PHP: every simulated AS runs
     // PHP, so those runs were truncated by IP2AS mis-origination noise and
     // their "egress" is really a penultimate LSR shared by several FECs —
     // exactly the measurement artifact the paper's IntraAS noise creates.
-    if (obs.lsp.egress_labeled) continue;
-    for (const auto& hop : obs.lsp.lsrs) {
-      if (hop.labels.empty()) continue;
-      labels_by_addr_fec[{obs.lsp.asn, hop.addr, obs.lsp.egress}].insert(
-          hop.labels.front());
+    if (row.egress_labeled) continue;
+    for (const lpr::LsrEntry& hop : lsps.lsrs(row)) {
+      const auto labels = lsps.labels(hop);
+      if (labels.empty()) continue;
+      labels_by_addr_fec[{row.asn, hop.addr, row.egress}].insert(
+          labels.front());
     }
   }
   for (const auto& [key, labels] : labels_by_addr_fec) {
@@ -121,9 +123,10 @@ TEST_P(PropertySweep, ExtractionNeverInventsLabels) {
     }
   }
   const auto extracted = lpr::extract_lsps(snapshot, ip2as);
-  for (const auto& obs : extracted.observations) {
-    for (const auto& hop : obs.lsp.lsrs) {
-      for (const auto label : hop.labels) {
+  const lpr::LspTable& lsps = extracted.observations;
+  for (const lpr::LspRow& row : lsps.rows()) {
+    for (const lpr::LsrEntry& hop : lsps.lsrs(row)) {
+      for (const auto label : lsps.labels(hop)) {
         EXPECT_TRUE(in_traces.contains({hop.addr, label}));
       }
     }

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "lpr_reference.h"
+
 namespace mum::lpr {
 namespace {
+
+using reference::LspObservation;
+using reference::table_of;
 
 net::Ipv4Addr ip(std::uint32_t v) { return net::Ipv4Addr(v); }
 
@@ -23,9 +28,14 @@ LspObservation obs(std::uint32_t ingress, std::uint32_t egress,
   return o;
 }
 
+std::vector<EgressTree> trees_of(
+    const std::vector<LspObservation>& observations) {
+  return build_egress_trees(table_of(observations));
+}
+
 TEST(EgressTree, GroupsByEgressNotIngress) {
   // Two LSPs with different ingresses toward the same egress join one tree.
-  const auto trees = build_egress_trees(
+  const auto trees = trees_of(
       {obs(1, 100, {{10, 500}}), obs(2, 100, {{11, 501}}),
        obs(3, 200, {{12, 700}})});
   ASSERT_EQ(trees.size(), 2u);
@@ -36,14 +46,14 @@ TEST(EgressTree, GroupsByEgressNotIngress) {
 }
 
 TEST(EgressTree, SingleBranchClass) {
-  const auto trees = build_egress_trees({obs(1, 100, {{10, 500}})});
+  const auto trees = trees_of({obs(1, 100, {{10, 500}})});
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].tree_class, TreeClass::kSingleBranch);
 }
 
 TEST(EgressTree, LdpConsistentTree) {
   // LDP invariant: router 10 shows label 500 regardless of upstream.
-  const auto trees = build_egress_trees(
+  const auto trees = trees_of(
       {obs(1, 100, {{10, 500}}), obs(2, 100, {{10, 500}}),
        obs(3, 100, {{11, 600}, {10, 500}})});
   ASSERT_EQ(trees.size(), 1u);
@@ -55,7 +65,7 @@ TEST(EgressTree, LdpConsistentTree) {
 
 TEST(EgressTree, MultiFecTree) {
   // Router 10 shows two labels toward the same egress: RSVP-TE.
-  const auto trees = build_egress_trees(
+  const auto trees = trees_of(
       {obs(1, 100, {{10, 500}}), obs(2, 100, {{10, 501}})});
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].tree_class, TreeClass::kMultiFec);
@@ -68,16 +78,16 @@ TEST(EgressTree, CrossIngressMultiFecInvisibleToIotpIndexing) {
   // (both Mono-LSP); tree indexing exposes the multiple FECs.
   const std::vector<LspObservation> observations = {
       obs(1, 100, {{10, 500}}), obs(2, 100, {{10, 501}})};
-  const auto iotps = group_iotps(observations);
+  const auto iotps = group_iotps(table_of(observations));
   EXPECT_EQ(iotps.size(), 2u);  // fragmented under IOTP indexing
-  const auto trees = build_egress_trees(observations);
+  const auto trees = trees_of(observations);
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].tree_class, TreeClass::kMultiFec);
 }
 
 TEST(EgressTree, DeduplicatesBranches) {
   const auto o = obs(1, 100, {{10, 500}});
-  const auto trees = build_egress_trees({o, o, o});
+  const auto trees = trees_of({o, o, o});
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].branches.size(), 1u);
 }
@@ -86,12 +96,12 @@ TEST(EgressTree, SeparateAsesSeparateTrees) {
   auto a = obs(1, 100, {{10, 500}});
   auto b = obs(1, 100, {{10, 500}});
   b.lsp.asn = 65002;
-  const auto trees = build_egress_trees({a, b});
+  const auto trees = trees_of({a, b});
   EXPECT_EQ(trees.size(), 2u);
 }
 
 TEST(EgressTree, SummaryCounts) {
-  const auto trees = build_egress_trees(
+  const auto trees = trees_of(
       {obs(1, 100, {{10, 500}}), obs(2, 100, {{10, 501}}),   // multi-FEC
        obs(1, 200, {{20, 600}}), obs(2, 200, {{20, 600}}),   // LDP tree
        obs(1, 300, {{30, 700}})});                           // single
@@ -112,8 +122,8 @@ TEST(EgressTree, TreeIndexingClassifiesAtLeastAsManyBranches) {
     observations.push_back(
         obs(i, 100 + (i % 2) * 100, {{10 + i, 500 + i}}, 9 + i));
   }
-  const auto trees = build_egress_trees(observations);
-  const auto iotps = group_iotps(observations);
+  const auto trees = trees_of(observations);
+  const auto iotps = group_iotps(table_of(observations));
   EXPECT_LE(trees.size(), iotps.size());
   std::uint64_t tree_branches = 0;
   for (const auto& t : trees) tree_branches += t.branches.size();
