@@ -24,14 +24,10 @@ int main() {
             << cycle + 1 << "\n\n";
 
   const auto month = study.month_data(cycle);
-  const auto extracted = lpr::extract_lsps(month.cycle(), study.ip2as());
-  std::vector<lpr::ExtractedSnapshot> following;
-  for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-    following.push_back(lpr::extract_lsps(month.snapshots[i],
-                                          study.ip2as()));
-  }
-  const auto filtered =
-      lpr::apply_filters(extracted, following, lpr::FilterConfig{});
+  const auto extracted =
+      lpr::extract_month(month, study.ip2as(), study.pool());
+  const auto filtered = lpr::apply_filters(
+      extracted[0], {extracted.begin() + 1, extracted.end()}, {});
 
   // Passive alias inference (label rule + /31 alignment rule).
   const lpr::LabelAliasResolver resolver(filtered.observations,

@@ -39,8 +39,12 @@ int main() {
                                      study.config().campaign, study.pool());
   for (int cycle = study.config().first_cycle;
        cycle <= study.config().last_cycle; ++cycle) {
+    // Only the cycle snapshot is read; the next evolver step rolls back to
+    // the pristine month, so probing no follow-ups changes nothing.
+    gen::CampaignConfig probe_once = study.campaign_for(cycle);
+    probe_once.extra_snapshots = 0;
     const dataset::MonthData month =
-        campaign.month(evolver, cycle, study.campaign_for(cycle));
+        campaign.month(evolver, cycle, probe_once);
     const lpr::ExtractedSnapshot extracted =
         lpr::extract_lsps(month.cycle(), study.ip2as());
     const auto& s = extracted.stats;

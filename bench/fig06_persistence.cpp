@@ -26,19 +26,13 @@ int main() {
             << " daily snapshots of December 2014\n"
             << "(generating daily campaigns...)\n\n";
 
-  const auto snapshots =
+  dataset::MonthData days;
+  days.snapshots =
       gen::CampaignRunner(study.internet(), study.ip2as(), config.campaign)
           .daily_month(december_2014, kDays);
 
   // Extract once; sweep filter configurations over the fixed data.
-  std::vector<lpr::ExtractedSnapshot> extracted;
-  extracted.reserve(snapshots.size());
-  for (const auto& snap : snapshots) {
-    extracted.push_back(lpr::extract_lsps(snap, study.ip2as()));
-  }
-  const lpr::ExtractedSnapshot& cycle = extracted.front();
-  const std::vector<lpr::ExtractedSnapshot> following(extracted.begin() + 1,
-                                                      extracted.end());
+  const auto month = lpr::extract_month(days, study.ip2as(), study.pool());
 
   util::TextTable table({"j", "LSPs kept", "IOTPs", "Mono-LSP", "Multi-FEC",
                          "Mono-FEC", "Unclass."});
@@ -47,7 +41,7 @@ int main() {
     pipeline.filter.persistence_j = j;
     pipeline.filter.enable_persistence = (j > 0);
     const lpr::CycleReport report =
-        lpr::run_pipeline(cycle, following, pipeline);
+        lpr::run_pipeline(month, pipeline);
     const auto& g = report.global;
     const double total = static_cast<double>(g.total());
     auto pct = [&](std::uint64_t n) {
@@ -68,8 +62,8 @@ int main() {
     lpr::PipelineConfig p2, p8;
     p2.filter.persistence_j = 2;
     p8.filter.persistence_j = 8;
-    const auto r2 = lpr::run_pipeline(cycle, following, p2);
-    const auto r8 = lpr::run_pipeline(cycle, following, p8);
+    const auto r2 = lpr::run_pipeline(month, p2);
+    const auto r8 = lpr::run_pipeline(month, p8);
     const auto share = [](const lpr::ClassCounts& c, std::uint64_t n) {
       return c.total() ? static_cast<double>(n) /
                              static_cast<double>(c.total())
@@ -90,8 +84,8 @@ int main() {
   // Mono-FEC / Multi-FEC balance much.
   lpr::PipelineConfig with_alias;
   with_alias.classify.alias_resolution_heuristic = true;
-  const auto base = lpr::run_pipeline(cycle, following, {});
-  const auto alias = lpr::run_pipeline(cycle, following, with_alias);
+  const auto base = lpr::run_pipeline(month, {});
+  const auto alias = lpr::run_pipeline(month, with_alias);
   std::cout << "Ablation - Sec. 5 alias-resolution heuristic:\n"
             << "  without: " << bench::class_shares_line(base.global) << '\n'
             << "  with:    " << bench::class_shares_line(alias.global) << '\n'

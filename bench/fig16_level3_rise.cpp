@@ -54,7 +54,7 @@ int main() {
 
     // "After filtering": run the (persistence-less) pipeline, then count.
     const lpr::CycleReport report =
-        lpr::run_pipeline(extracted, {}, pipeline);
+        lpr::run_pipeline({&extracted, 1}, pipeline);
     std::uint64_t lsps_after = 0;
     std::uint64_t iotps_after = 0;
     for (const auto& rec : report.iotps) {

@@ -206,7 +206,7 @@ void BM_FullPipelineMonth(benchmark::State& state) {
   const gen::CampaignRunner campaign(internet, ip2as);
   for (auto _ : state) {
     const auto month = campaign.month(50);
-    const auto report = lpr::run_pipeline(month, ip2as, {});
+    const auto report = lpr::run_pipeline(lpr::extract_month(month, ip2as));
     benchmark::DoNotOptimize(report.global.total());
   }
 }

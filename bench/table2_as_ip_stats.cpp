@@ -46,8 +46,12 @@ int main() {
                                      study.config().campaign, study.pool());
   for (int cycle = 0; cycle < gen::kCycles; ++cycle) {
     const int year = gen::kFirstYear + cycle / 12;
+    // Only the cycle snapshot is read; the next evolver step rolls back to
+    // the pristine month, so probing no follow-ups changes nothing.
+    gen::CampaignConfig probe_once = study.campaign_for(cycle);
+    probe_once.extra_snapshots = 0;
     const dataset::MonthData month =
-        campaign.month(evolver, cycle, study.campaign_for(cycle));
+        campaign.month(evolver, cycle, probe_once);
     const auto census = lpr::census_by_as(month.cycle());
     for (const auto& [asn, name] : ases) {
       const auto it = census.find(asn);

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                          "Mono-FEC", "Unclass.", "dyn", ""});
   for (int cycle = 0; cycle < gen::kCycles; cycle += step) {
     const auto month = gen::CampaignRunner(internet, ip2as).month(cycle);
-    const auto report = lpr::run_pipeline(month, ip2as, {});
+    const auto report = lpr::run_pipeline(lpr::extract_month(month, ip2as));
     const auto counts = report.as_counts(asn);
     const double total = static_cast<double>(counts.total());
     auto pct = [&](std::uint64_t n) {

@@ -66,8 +66,10 @@ int main(int argc, char** argv) {
   }
 
   // 4. LPR on the reloaded data must agree with LPR on the in-memory data.
-  const lpr::CycleReport direct = lpr::run_pipeline(month, ip2as, {});
-  const lpr::CycleReport from_disk = lpr::run_pipeline(reloaded, ip2as, {});
+  const lpr::CycleReport direct =
+      lpr::run_pipeline(lpr::extract_month(month, ip2as));
+  const lpr::CycleReport from_disk =
+      lpr::run_pipeline(lpr::extract_month(reloaded, ip2as));
 
   util::TextTable table({"", "in-memory", "from disk"});
   auto row = [&](const char* name, std::uint64_t a, std::uint64_t b) {

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   const dataset::Ip2As ip2as = internet.build_ip2as();
   const dataset::MonthData month =
       gen::CampaignRunner(internet, ip2as).month(cycle);
-  const lpr::CycleReport report = lpr::run_pipeline(month, ip2as, {});
+  const lpr::CycleReport report =
+      lpr::run_pipeline(lpr::extract_month(month, ip2as));
 
   std::cout << "=== Cycle " << cycle + 1 << " (" << report.date << ") ===\n";
   const auto& e = report.extract_stats;

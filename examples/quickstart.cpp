@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
   }
 
   // Run LPR (filters + Algorithm 1).
-  const lpr::CycleReport report = lpr::run_pipeline(month, ip2as);
+  const lpr::CycleReport report =
+      lpr::run_pipeline(lpr::extract_month(month, ip2as));
   std::cout << "LPR: " << report.filter_stats.observed << " LSPs observed, "
             << report.filter_stats.after_persistence
             << " kept after filtering, " << report.iotps.size()

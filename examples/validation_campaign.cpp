@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
 
   // 1. Passive pass: classify the cycle with LPR.
   const auto month = gen::CampaignRunner(internet, ip2as).month(cycle);
-  const lpr::CycleReport report = lpr::run_pipeline(month, ip2as, {});
+  const lpr::CycleReport report =
+      lpr::run_pipeline(lpr::extract_month(month, ip2as));
   std::cout << "LPR classified " << report.iotps.size() << " IOTPs on cycle "
             << cycle + 1 << "; launching the MDA validation campaign...\n\n";
 

@@ -5,9 +5,10 @@
 # layer (decoder fuzz corpus + chaos, dataset and batch tests) and the LPR
 # LSP table (extract, filter, alias and tree tests) to catch memory errors
 # arbitrary bytes or bad pool offsets could trigger. On top of that: a failpoint matrix (every io fault
-# class injected at 2% must leave a campaign contained) and a kill/resume
+# class injected at 2% must leave a campaign contained), a kill/resume
 # torture loop (real process kills at fixed io-op ordinals; resumed runs
-# must be byte-identical to an uninterrupted one).
+# must be byte-identical to an uninterrupted one) and a resume that
+# re-ingests every cycle from its data shards.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
@@ -66,6 +67,26 @@ for k in 2 7 13 23 31; do
   fi
   echo "  kill at op $k -> exit 9, resume byte-identical"
 done
+
+echo "== tier-1: resume from data shards (materialized + from-data paths) =="
+# A --checkpoint-data write materializes every month; with the report
+# checkpoints deleted, the resume re-ingests every cycle from its shards
+# (without --checkpoint-data it would regenerate instead). Both reports
+# must equal the uninterrupted streamed run.
+rm -rf "$work/data"
+"$mum" campaign --small --cycles 12 --quiet --checkpoints "$work/data" \
+  --checkpoint-data > "$work/data_write.out"
+rm -f "$work"/data/cycle_*.mumc
+"$mum" campaign --small --cycles 12 --quiet --resume "$work/data" \
+  --checkpoint-data > "$work/data_resume.out"
+for run in data_write data_resume; do
+  if ! cmp -s "$work/baseline.out" "$work/$run.out"; then
+    echo "FAIL: $run diverged from baseline"
+    diff "$work/baseline.out" "$work/$run.out" | head -20
+    exit 1
+  fi
+done
+echo "  --checkpoint-data write and from-data resume byte-identical"
 
 echo "== tier-1: TSan pass over test_parallel + test_obs + test_evolve + test_batch ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DMUM_TSAN=ON

@@ -240,6 +240,16 @@ ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
                        blocks);
 }
 
+std::vector<ExtractedSnapshot> extract_month(const dataset::MonthData& month,
+                                             const dataset::Ip2As& ip2as,
+                                             util::ThreadPool* pool) {
+  std::vector<ExtractedSnapshot> out(month.snapshots.size());
+  util::parallel_for(pool, month.snapshots.size(), [&](std::size_t i) {
+    out[i] = extract_lsps(month.snapshots[i], ip2as);
+  });
+  return out;
+}
+
 std::unordered_map<std::uint32_t, AsIpCensus> census_by_as(
     const dataset::SnapshotBatch& snapshot) {
   AsAddrSets mpls;

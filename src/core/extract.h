@@ -26,6 +26,7 @@
 #include "core/model.h"
 #include "dataset/ip2as.h"
 #include "dataset/trace_batch.h"
+#include "util/thread_pool.h"
 
 namespace mum::lpr {
 
@@ -89,6 +90,15 @@ ExtractedSnapshot stitch_blocks(std::uint32_t cycle_id,
 // Extract a materialized snapshot: its traces as one block, stitched.
 ExtractedSnapshot extract_lsps(const dataset::SnapshotBatch& snapshot,
                                const dataset::Ip2As& ip2as);
+
+// Extract a materialized (or re-ingested) month, one extract_lsps per
+// snapshot, in snapshot order: element 0 is the cycle snapshot, the rest
+// feed Persistence — the form lpr::run_pipeline takes. The snapshots
+// extract independently, so with a pool they fan out over it; the result
+// is the same at any thread count.
+std::vector<ExtractedSnapshot> extract_month(const dataset::MonthData& month,
+                                             const dataset::Ip2As& ip2as,
+                                             util::ThreadPool* pool = nullptr);
 
 // Per-AS unique-address census over one snapshot (Table 2 rows): for each
 // ASN, how many distinct responding addresses were seen inside labeled runs

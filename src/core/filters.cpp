@@ -68,7 +68,7 @@ class HashSet {
 }  // namespace
 
 FilteredCycle apply_filters(const ExtractedSnapshot& cycle,
-                            const std::vector<ExtractedSnapshot>& following,
+                            std::span<const ExtractedSnapshot> following,
                             const FilterConfig& config) {
   FilteredCycle out;
   out.cycle_id = cycle.cycle_id;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -62,12 +63,13 @@ struct FilteredCycle {
 };
 
 // Apply the full filter pipeline to the cycle snapshot of a month.
-// `following` are the extracted snapshots X+1 ... X+j of the same month (any
-// extra entries beyond persistence_j are ignored; fewer entries simply relax
-// nothing — an LSP must appear in at least one of them, so an empty list with
-// persistence enabled erases everything and triggers reinjection per AS).
+// `following` are the extracted snapshots X+1 ... X+j of the same month —
+// the tail of the month lpr::run_pipeline takes (any extra entries beyond
+// persistence_j are ignored; fewer entries simply relax nothing — an LSP
+// must appear in at least one of them, so an empty span with persistence
+// enabled erases everything and triggers reinjection per AS).
 FilteredCycle apply_filters(const ExtractedSnapshot& cycle,
-                            const std::vector<ExtractedSnapshot>& following,
+                            std::span<const ExtractedSnapshot> following,
                             const FilterConfig& config);
 
 // Group filtered observations into IOTPs, sorted by key: variants are

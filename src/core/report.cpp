@@ -75,10 +75,10 @@ void LongitudinalReport::to_table(std::ostream& os) const {
   os << table;
 }
 
-CycleReport run_pipeline(const ExtractedSnapshot& cycle,
-                         const std::vector<ExtractedSnapshot>& following,
+CycleReport run_pipeline(std::span<const ExtractedSnapshot> month,
                          const PipelineConfig& config,
                          util::ThreadPool* pool) {
+  const ExtractedSnapshot& cycle = month.front();
   static obs::Counter& pipeline_runs =
       obs::registry().counter("lpr.pipeline_runs");
   static obs::Counter& traces = obs::registry().counter("lpr.traces");
@@ -92,7 +92,8 @@ CycleReport run_pipeline(const ExtractedSnapshot& cycle,
   report.date = cycle.date;
   report.extract_stats = cycle.stats;
 
-  FilteredCycle filtered = apply_filters(cycle, following, config.filter);
+  FilteredCycle filtered =
+      apply_filters(cycle, month.subspan(1), config.filter);
   report.filter_stats = filtered.stats;
 
   report.iotps = group_iotps(filtered.observations);
@@ -105,23 +106,6 @@ CycleReport run_pipeline(const ExtractedSnapshot& cycle,
     report.dynamic_as[asn] = true;
   }
   return report;
-}
-
-CycleReport run_pipeline(const dataset::MonthData& month,
-                         const dataset::Ip2As& ip2as,
-                         const PipelineConfig& config,
-                         util::ThreadPool* pool) {
-  // Extract the cycle snapshot and every following snapshot of the month —
-  // each snapshot extracts independently, so they fan out over the pool.
-  std::vector<ExtractedSnapshot> extracted(month.snapshots.size());
-  util::parallel_for(pool, month.snapshots.size(), [&](std::size_t i) {
-    extracted[i] = extract_lsps(month.snapshots[i], ip2as);
-  });
-  const ExtractedSnapshot cycle = std::move(extracted.front());
-  std::vector<ExtractedSnapshot> following(
-      std::make_move_iterator(extracted.begin() + 1),
-      std::make_move_iterator(extracted.end()));
-  return run_pipeline(cycle, following, config, pool);
 }
 
 std::vector<LongitudinalReport::AsSeriesPoint>

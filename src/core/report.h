@@ -1,6 +1,8 @@
-// Report layer: the end-to-end LPR pipeline (extract -> filter -> group ->
-// classify) applied per cycle, with per-AS breakdowns and longitudinal
-// aggregation — the data behind Figs. 6, 10-16 and Tables 1-2.
+// Report layer: the LPR pipeline (filter -> group -> classify) applied per
+// cycle to one extracted month, with per-AS breakdowns and longitudinal
+// aggregation — the data behind Figs. 6, 10-16 and Tables 1-2. A month
+// reaches it in one form, a span of extracted snapshots (lpr::extract_month
+// for a materialized month, run::extract_streamed_month for a streamed one).
 //
 // Every report type implements the Report interface: `to_table` renders the
 // fixed-width text form for terminals, `to_json` the machine-readable form
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,8 +20,6 @@
 #include "core/extract.h"
 #include "core/filters.h"
 #include "dataset/decode.h"
-#include "dataset/ip2as.h"
-#include "dataset/trace_batch.h"
 #include "util/thread_pool.h"
 
 namespace mum::lpr {
@@ -64,19 +65,14 @@ struct PipelineConfig {
   ClassifyConfig classify;
 };
 
-// Run the full LPR pipeline on one month of data (cycle snapshot + the
-// following snapshots used by Persistence). With a pool, the month's
-// snapshots are extracted in parallel and classification is sharded; output
-// is identical to the serial run.
-CycleReport run_pipeline(const dataset::MonthData& month,
-                         const dataset::Ip2As& ip2as,
-                         const PipelineConfig& config = {},
-                         util::ThreadPool* pool = nullptr);
-
-// Same, starting from already-extracted snapshots (lets callers extract once
-// and sweep filter configurations, as the Fig. 6 bench does).
-CycleReport run_pipeline(const ExtractedSnapshot& cycle,
-                         const std::vector<ExtractedSnapshot>& following,
+// Run the full LPR pipeline on one extracted month: `month[0]` is the cycle
+// snapshot, the rest are the following snapshots Persistence consults
+// (lpr::extract_month builds this form from a materialized month, the
+// campaign run loop from its streamed blocks). Extracting once lets a
+// caller sweep filter configurations over fixed data, as the Fig. 6 bench
+// does. With a pool, classification is sharded; output is identical to the
+// serial run. `month` must not be empty.
+CycleReport run_pipeline(std::span<const ExtractedSnapshot> month,
                          const PipelineConfig& config = {},
                          util::ThreadPool* pool = nullptr);
 

@@ -249,17 +249,14 @@ std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
   out.reserve(static_cast<std::size_t>(days));
   util::Rng dyn_rng(util::hash_combine(internet.config().seed,
                                        0xDA1ull + cycle));
-  // One standing context for the whole month: deployment ramps are
-  // day-resolved, but a day is a pristine rollback + profile re-evaluation
-  // away — byte-identical to the per-day re-instantiate this replaces.
-  MonthContext ctx = internet.instantiate(cycle, /*day_of_month=*/1, pool_);
+  // One standing world for the whole month: deployment ramps are
+  // day-resolved, and a new day of the same cycle is one evolver step (a
+  // pristine rollback plus the per-AS profile re-evaluation) — byte-
+  // identical to a per-day re-instantiate.
+  DeltaEvolver evolver(internet, pool_);
   for (int day = 1; day <= days; ++day) {
-    if (day > 1) {
-      ctx.restore_pristine();
-      ctx.set_day(day);
-      ctx.apply_flaps(/*sub_index=*/0, internet.config().ecmp_flap_prob);
-      ctx.advance_dynamics(dyn_rng);
-    }
+    MonthContext& ctx = evolver.evolve_to(cycle, day);
+    if (day > 1) ctx.advance_dynamics(dyn_rng);
 
     CampaignConfig day_config = config_;
     // Fleet-size wobble (the paper notes "the number of considered

@@ -66,6 +66,8 @@ class CampaignRunner {
 
   const CampaignConfig& config() const noexcept { return config_; }
   const Internet& internet() const noexcept { return *internet_; }
+  const dataset::Ip2As& ip2as() const noexcept { return *ip2as_; }
+  util::ThreadPool* pool() const noexcept { return pool_; }
 
   // One snapshot at (cycle, sub_index). `ctx` must come from
   // internet.instantiate(); flaps for `sub_index` are applied inside.
@@ -104,7 +106,9 @@ class CampaignRunner {
 
   // Daily data for one month (Fig. 16): `days` snapshots, profile evaluated
   // at each day, fleet size wobbling deterministically around the configured
-  // share.
+  // share. One DeltaEvolver carries the month: each new day is
+  // evolve_to(cycle, day), the same step a new cycle takes, so the days
+  // equal per-day instantiates of (cycle, day).
   std::vector<dataset::SnapshotBatch> daily_month(int cycle, int days) const;
 
  private:

@@ -110,22 +110,6 @@ void MonthContext::restore_pristine() {
   }
 }
 
-void MonthContext::set_day(int day_of_month) {
-  for (auto& [asn, planes] : planes_) {
-    const ModeledAs* as = internet_->modeled(asn);
-    const ProfileSnapshot profile =
-        profile_at(asn, as->shape, cycle_, day_of_month);
-    if (ldp_structural_changed(planes->profile, profile)) {
-      internet_->build_as_planes(asn, *as, profile, *planes);
-    } else if (te_structural_changed(planes->profile, profile)) {
-      internet_->build_te_planes(asn, *as, profile, *planes);
-    } else {
-      Internet::apply_profile_scalars(profile, *planes);
-      planes->profile = profile;
-    }
-  }
-}
-
 void MonthContext::apply_flaps(int sub_index, double flap_prob) {
   const GenConfig& config = internet_->config();
   mutated_ = true;

@@ -211,17 +211,14 @@ class MonthContext {
 
   int cycle() const noexcept { return cycle_; }
 
-  // --- standing-world reuse (DeltaEvolver, daily_month) --------------------
+  // --- standing-world reuse (DeltaEvolver) ----------------------------------
   // Rolls every AS back to its pristine start-of-month control-plane state:
   // undoes flap re-signalling, dynamics re-optimization and failure state,
   // rewinds label-pool counters, and resets per-cycle scratch arenas. After
   // this, the context is byte-equivalent to a freshly instantiated month
-  // just before its initial apply_flaps(0).
+  // just before its initial apply_flaps(0). The evolver's step (a new
+  // cycle, or a new day of the same cycle) starts here.
   void restore_pristine();
-  // Re-evaluates profiles at (cycle, day_of_month): ASes whose structural
-  // knobs changed are rebuilt (deployment ramps are day-resolved); cheap
-  // observation scalars are updated in place. Call on a pristine context.
-  void set_day(int day_of_month);
 
  private:
   friend class Internet;

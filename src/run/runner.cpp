@@ -40,6 +40,32 @@ void log_cycle_progress(int cycle, const char* outcome) {
 
 }  // namespace
 
+std::vector<lpr::ExtractedSnapshot> extract_streamed_month(
+    const gen::CampaignRunner& campaign, gen::DeltaEvolver& evolver,
+    int cycle, const gen::CampaignConfig& config) {
+  const auto snapshots =
+      static_cast<std::size_t>(std::max(0, config.extra_snapshots)) + 1;
+  // One slot per (snapshot, monitor): monitors outside the cycle's fleet
+  // share send no block, and their empty slots stitch to nothing.
+  std::vector<std::vector<lpr::ExtractedBlock>> blocks(
+      snapshots, std::vector<lpr::ExtractedBlock>(
+                     campaign.internet().monitors().size()));
+  campaign.stream_month(
+      evolver, cycle, config,
+      [&](int sub_index, std::size_t monitor,
+          const dataset::TraceBatch& block) {
+        blocks[static_cast<std::size_t>(sub_index)][monitor] =
+            lpr::extract_block(block, campaign.ip2as());
+      });
+  std::vector<lpr::ExtractedSnapshot> month(snapshots);
+  util::parallel_for(campaign.pool(), snapshots, [&](std::size_t sub) {
+    month[sub] = lpr::stitch_blocks(static_cast<std::uint32_t>(cycle),
+                                    static_cast<std::uint32_t>(sub),
+                                    gen::cycle_date(cycle), blocks[sub]);
+  });
+  return month;
+}
+
 Runner::Runner(const RunnerConfig& config)
     : config_(config),
       pool_(make_pool(config.threads)),
@@ -72,34 +98,9 @@ lpr::CycleReport Runner::run_cycle(int cycle) const {
     const obs::StageSpan span(obs::Stage::kGenerate, cycle);
     return month_data(cycle);
   }();
-  return classify(cycle, month);
-}
-
-std::vector<lpr::ExtractedSnapshot> Runner::extract_month(
-    int cycle, const gen::CampaignRunner& campaign,
-    gen::DeltaEvolver& evolver) const {
-  const gen::CampaignConfig config = campaign_for(cycle);
-  const auto snapshots =
-      static_cast<std::size_t>(std::max(0, config.extra_snapshots)) + 1;
-  // One slot per (snapshot, monitor): monitors outside the cycle's fleet
-  // share send no block, and their empty slots stitch to nothing.
-  std::vector<std::vector<lpr::ExtractedBlock>> blocks(
-      snapshots,
-      std::vector<lpr::ExtractedBlock>(internet_.monitors().size()));
-  campaign.stream_month(
-      evolver, cycle, config,
-      [&](int sub_index, std::size_t monitor,
-          const dataset::TraceBatch& block) {
-        blocks[static_cast<std::size_t>(sub_index)][monitor] =
-            lpr::extract_block(block, ip2as_);
-      });
-  std::vector<lpr::ExtractedSnapshot> month(snapshots);
-  util::parallel_for(pool_.get(), snapshots, [&](std::size_t sub) {
-    month[sub] = lpr::stitch_blocks(static_cast<std::uint32_t>(cycle),
-                                    static_cast<std::uint32_t>(sub),
-                                    gen::cycle_date(cycle), blocks[sub]);
+  return classify(cycle, [&] {
+    return lpr::extract_month(month, ip2as_, pool_.get());
   });
-  return month;
 }
 
 void Runner::corrupt_month(int cycle, chaos::Corruptor& corruptor,
@@ -139,24 +140,14 @@ void Runner::corrupt_month(int cycle, chaos::Corruptor& corruptor,
   }
 }
 
-lpr::CycleReport Runner::classify(int cycle,
-                                  const dataset::MonthData& month) const {
+lpr::CycleReport Runner::classify(
+    int cycle,
+    const std::function<std::vector<lpr::ExtractedSnapshot>()>& month) const {
   // Stage boundary: a deadline can fire on compute-only cycles here (no-op
   // outside a CycleScope, so run_cycle and the benches never pay for it).
   util::io::check_deadline();
   const obs::StageSpan span(obs::Stage::kClassify, cycle);
-  return lpr::run_pipeline(month, ip2as_, config_.pipeline, pool_.get());
-}
-
-lpr::CycleReport Runner::classify(
-    int cycle, std::vector<lpr::ExtractedSnapshot> month) const {
-  util::io::check_deadline();
-  const obs::StageSpan span(obs::Stage::kClassify, cycle);
-  const std::vector<lpr::ExtractedSnapshot> following(
-      std::make_move_iterator(month.begin() + 1),
-      std::make_move_iterator(month.end()));
-  return lpr::run_pipeline(month.front(), following, config_.pipeline,
-                           pool_.get());
+  return lpr::run_pipeline(month(), config_.pipeline, pool_.get());
 }
 
 void Runner::quarantine_file(const std::string& path,
@@ -223,7 +214,9 @@ std::optional<lpr::CycleReport> Runner::run_cycle_from_data(
     }
     return std::nullopt;
   }
-  lpr::CycleReport report = classify(cycle, month);
+  lpr::CycleReport report = classify(cycle, [&] {
+    return lpr::extract_month(month, ip2as_, pool_.get());
+  });
   report.decode = source->diagnostics();
   return report;
 }
@@ -411,14 +404,17 @@ RunOutcome Runner::run_all_contained() const {
               });
             }
           }
-          slot = classify(cycle, month);
+          slot = classify(cycle, [&] {
+            return lpr::extract_month(month, ip2as_, pool_.get());
+          });
           slot.decode = std::move(decode);
         } else {
           std::vector<lpr::ExtractedSnapshot> month = [&] {
             const obs::StageSpan span(obs::Stage::kGenerate, cycle);
-            return extract_month(cycle, campaign, evolver);
+            return extract_streamed_month(campaign, evolver, cycle,
+                                          campaign_for(cycle));
           }();
-          slot = classify(cycle, std::move(month));
+          slot = classify(cycle, [&] { return std::move(month); });
         }
         util::io::check_deadline();
         status.outcome = CycleOutcome::kOk;

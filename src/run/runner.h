@@ -5,17 +5,19 @@
 // fan-out, per-AS evolution, classification) use a thread pool
 // the Runner owns.
 //
-// The month streams: each monitor task of the campaign fan-out probes,
-// annotates and extracts its own block (gen::CampaignRunner::stream_month
-// with lpr::extract_block as the sink, writing each block's LSPs as rows of
-// a flat lpr::LspTable), and the runner stitches each snapshot's blocks in
-// monitor order (lpr::stitch_blocks). No merged snapshot exists unless its
-// bytes are consumed: data chaos (the corrupted snapshot is extracted as
-// one block) and --checkpoint-data shards take the materialized month
-// instead, as does the from-scratch run_cycle. Streamed extraction runs
-// inside generation, so a cycle's manifest counts it in the `generate`
-// stage; `classify` then covers the filters (over table rows and the hash
-// column), grouping (an lpr::Lsp per distinct IOTP variant only),
+// The month streams (extract_streamed_month below): each monitor task of
+// the campaign fan-out probes, annotates and extracts its own block,
+// writing its LSPs as rows of a flat lpr::LspTable, and each snapshot's
+// blocks are stitched in monitor order. No merged snapshot exists unless
+// its bytes are consumed: data chaos and --checkpoint-data shards take the
+// materialized month instead, as do the from-scratch run_cycle and the
+// re-ingest of persisted shards; all three extract it with
+// lpr::extract_month. Either way LPR gets one form, the extracted month
+// (element 0 the cycle snapshot), through one classify step. Streamed
+// extraction runs inside generation, so a cycle's manifest counts it in
+// the `generate` stage; a materialized month is extracted inside
+// `classify`, which otherwise covers the filters (over table rows and the
+// hash column), grouping (an lpr::Lsp per distinct IOTP variant only),
 // classification and dropping the month's tables.
 //
 // The fig*/table* binaries, the CLI and the examples all share this one
@@ -29,9 +31,11 @@
 // (the default, threads = 0) is right unless the machine is shared.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "chaos/chaos.h"
 #include "core/report.h"
@@ -41,6 +45,19 @@
 #include "util/thread_pool.h"
 
 namespace mum::run {
+
+// The month of `cycle` streamed through extraction against `evolver`'s
+// standing world (gen::CampaignRunner::stream_month with lpr::extract_block
+// as the sink, on the campaign's ip2as table): every monitor block is
+// extracted inside the fan-out, then each snapshot's blocks are stitched in
+// monitor order (lpr::stitch_blocks, one task per snapshot on the
+// campaign's pool). Element 0 is the cycle snapshot — the form
+// lpr::run_pipeline takes. Equals lpr::extract_month over
+// campaign.month(evolver, cycle, config), row for row and counter for
+// counter.
+std::vector<lpr::ExtractedSnapshot> extract_streamed_month(
+    const gen::CampaignRunner& campaign, gen::DeltaEvolver& evolver,
+    int cycle, const gen::CampaignConfig& config);
 
 struct RunnerConfig {
   gen::GenConfig gen;
@@ -149,12 +166,6 @@ class Runner {
   RunOutcome run_all_contained() const;
 
  private:
-  // The month streamed through extraction against the standing world:
-  // every monitor block is extracted inside the fan-out, then each
-  // snapshot is stitched in monitor order.
-  std::vector<lpr::ExtractedSnapshot> extract_month(
-      int cycle, const gen::CampaignRunner& campaign,
-      gen::DeltaEvolver& evolver) const;
   // Data chaos on a materialized month: structural faults mutate its
   // snapshots in place; wire faults round-trip them through a pack and
   // tolerant decode, re-annotating survivors, with the decoder's
@@ -162,10 +173,13 @@ class Runner {
   void corrupt_month(int cycle, chaos::Corruptor& corruptor,
                      dataset::DecodeDiagnostics& decode,
                      dataset::MonthData& month) const;
-  // The LPR pipeline over one month, behind a deadline check.
-  lpr::CycleReport classify(int cycle, const dataset::MonthData& month) const;
-  lpr::CycleReport classify(int cycle,
-                            std::vector<lpr::ExtractedSnapshot> month) const;
+  // The LPR pipeline over the extracted month `month()` returns, behind a
+  // deadline check. `month` runs inside the classify stage span, so a
+  // materialized month's lpr::extract_month is attributed to classify; a
+  // streamed month arrives already extracted.
+  lpr::CycleReport classify(
+      int cycle,
+      const std::function<std::vector<lpr::ExtractedSnapshot>()>& month) const;
   // Re-ingest a cycle's persisted data shards (strict decode) and run the
   // pipeline on them. nullopt when shards are missing, incomplete (fewer
   // than the configured snapshots per cycle — a crash mid-persist must not

@@ -455,12 +455,10 @@ inline void expect_same_pipeline(
   for (std::size_t s = 0; s < got_month.size(); ++s) {
     expect_same_extraction(got_month[s], want_month[s]);
   }
-  const std::vector<lpr::ExtractedSnapshot> got_following(
-      got_month.begin() + 1, got_month.end());
   const std::vector<ExtractedSnapshot> want_following(want_month.begin() + 1,
                                                       want_month.end());
-  const lpr::FilteredCycle got =
-      lpr::apply_filters(got_month.front(), got_following, config);
+  const lpr::FilteredCycle got = lpr::apply_filters(
+      got_month.front(), {got_month.begin() + 1, got_month.end()}, config);
   const FilteredCycle want =
       apply_filters(want_month.front(), want_following, config);
   expect_same_filtered(got, want);

@@ -1,48 +1,20 @@
-// Test-only consumer of the streamed month, and the equality the streamed
-// and materialized front ends are held to.
+// The equality the streamed and materialized front ends are held to.
 //
-// streamed_month() drives gen::CampaignRunner::stream_month with
-// lpr::extract_block as the sink and stitches each snapshot's blocks in
-// monitor order, over the public API the run loop uses. The materialized
-// oracle is CampaignRunner::month + lpr::extract_lsps per snapshot;
-// expect_same_extraction() compares the LSP tables row by row (every field
-// and the content hash) and every ExtractStats counter.
+// The streamed month is run::extract_streamed_month, the function the run
+// loop calls; the materialized one is CampaignRunner::month +
+// lpr::extract_month (lpr::extract_lsps per snapshot).
+// expect_same_extraction() compares two extracted snapshots' LSP tables
+// row by row (every field and the content hash) and every ExtractStats
+// counter.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "core/extract.h"
-#include "dataset/ip2as.h"
-#include "gen/campaign.h"
-#include "gen/evolve.h"
 
 namespace mum::test {
-
-inline std::vector<lpr::ExtractedSnapshot> streamed_month(
-    const gen::CampaignRunner& campaign, gen::DeltaEvolver& evolver,
-    int cycle, const gen::CampaignConfig& config,
-    const dataset::Ip2As& ip2as) {
-  const auto snapshots = static_cast<std::size_t>(config.extra_snapshots) + 1;
-  std::vector<std::vector<lpr::ExtractedBlock>> blocks(
-      snapshots, std::vector<lpr::ExtractedBlock>(
-                     campaign.internet().monitors().size()));
-  campaign.stream_month(evolver, cycle, config,
-                        [&](int sub, std::size_t monitor,
-                            const dataset::TraceBatch& block) {
-                          blocks[static_cast<std::size_t>(sub)][monitor] =
-                              lpr::extract_block(block, ip2as);
-                        });
-  std::vector<lpr::ExtractedSnapshot> month;
-  for (std::size_t sub = 0; sub < snapshots; ++sub) {
-    month.push_back(lpr::stitch_blocks(static_cast<std::uint32_t>(cycle),
-                                       static_cast<std::uint32_t>(sub),
-                                       gen::cycle_date(cycle), blocks[sub]));
-  }
-  return month;
-}
 
 inline void expect_same_extraction(const lpr::ExtractedSnapshot& got,
                                    const lpr::ExtractedSnapshot& want) {

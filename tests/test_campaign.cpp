@@ -5,6 +5,7 @@
 #include "core/filters.h"
 #include "gen/evolve.h"
 #include "obs/telemetry.h"
+#include "run/runner.h"
 #include "streamed_month.h"
 #include "trace_builder.h"
 #include "util/thread_pool.h"
@@ -207,7 +208,7 @@ TEST_F(CampaignTest, StreamedMonthMatchesMaterializedMonth) {
       DeltaEvolver streamed_world(internet, &pool);
       DeltaEvolver materialized_world(internet, &pool);
       const auto streamed =
-          test::streamed_month(campaign, streamed_world, 50, config, ip2as);
+          run::extract_streamed_month(campaign, streamed_world, 50, config);
       const auto month = campaign.month(materialized_world, 50, config);
       ASSERT_EQ(streamed.size(), month.snapshots.size());
       for (std::size_t sub = 0; sub < streamed.size(); ++sub) {
@@ -216,6 +217,23 @@ TEST_F(CampaignTest, StreamedMonthMatchesMaterializedMonth) {
       }
       EXPECT_GT(streamed[0].observations.size(), 0u);
     }
+  }
+}
+
+// lpr::extract_month is extract_lsps per snapshot, in snapshot order, at
+// any thread count.
+TEST_F(CampaignTest, ExtractMonthMatchesPerSnapshotExtraction) {
+  const auto month = runner.month(50);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    util::ThreadPool pool(threads);
+    const auto extracted = lpr::extract_month(month, ip2as, &pool);
+    ASSERT_EQ(extracted.size(), month.snapshots.size());
+    for (std::size_t sub = 0; sub < extracted.size(); ++sub) {
+      test::expect_same_extraction(
+          extracted[sub], lpr::extract_lsps(month.snapshots[sub], ip2as));
+    }
+    EXPECT_GT(extracted[0].observations.size(), 0u);
   }
 }
 
@@ -237,7 +255,7 @@ TEST(CampaignStream, EmptyMonitorBlocksStreamLikeEmptySnapshots) {
 
   DeltaEvolver again(internet);
   DeltaEvolver materialized_world(internet);
-  const auto streamed = test::streamed_month(campaign, again, 50, {}, ip2as);
+  const auto streamed = run::extract_streamed_month(campaign, again, 50, {});
   const auto month = campaign.month(materialized_world, 50);
   ASSERT_EQ(streamed.size(), month.snapshots.size());
   for (std::size_t sub = 0; sub < streamed.size(); ++sub) {

@@ -548,7 +548,8 @@ TEST(DailyMonth, MatchesPerDayReinstantiation) {
   const gen::CampaignRunner runner(internet, ip2as);
 
   // Cycle 27 (April 2012) sits inside a deployment ramp, so day-resolved
-  // profiles actually differ day to day — set_day takes the rebuild path.
+  // profiles actually differ day to day — the evolver's day step takes the
+  // rebuild path.
   const int cycle = 27;
   const int days = 5;
   const auto daily = runner.daily_month(cycle, days);

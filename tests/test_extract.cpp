@@ -444,7 +444,7 @@ TEST(ExtractOracle, HandcraftedPipelineMatchesOracle) {
   reference::expect_same_pipeline(month, oracle);
   // The first LSP reaches two destination ASes: it survives every filter.
   const auto iotps = group_iotps(
-      apply_filters(month[0], {month[1]}, FilterConfig{}).observations);
+      apply_filters(month[0], {&month[1], 1}, FilterConfig{}).observations);
   ASSERT_EQ(iotps.size(), 1u);
   EXPECT_EQ(iotps[0].dst_asns, (std::vector<std::uint32_t>{65002, 65099}));
   FilterConfig everything;

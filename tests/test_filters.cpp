@@ -105,7 +105,7 @@ TEST(Filters, PersistenceKeepsLspSeenInNextSnapshot) {
   const auto next2 = snap_of({});
   FilterConfig config;
   config.persistence_j = 2;
-  const auto result = apply_filters(cycle, {next1, next2}, config);
+  const auto result = apply_filters(cycle, std::vector{next1, next2}, config);
   EXPECT_EQ(result.stats.after_transit_diversity, 3u);
   EXPECT_EQ(result.stats.after_persistence, 2u);
   for (std::size_t i = 0; i < result.observations.size(); ++i) {
@@ -118,7 +118,8 @@ TEST(Filters, PersistenceSeenOnlyInSecondFollowUpStillKept) {
   auto cycle = snap_of({o1, obs(65001, 1, 2, {100}, 10)});
   const auto next1 = snap_of({});
   const auto next2 = snap_of({o1});
-  const auto result = apply_filters(cycle, {next1, next2}, FilterConfig{});
+  const auto result =
+      apply_filters(cycle, std::vector{next1, next2}, FilterConfig{});
   EXPECT_EQ(result.observations.size(), 2u);
 }
 
@@ -131,7 +132,8 @@ TEST(Filters, PersistenceJLimitsSnapshotsConsulted) {
   config.persistence_j = 1;
   config.dynamic_threshold = 2.0;  // disable reinjection for this test
   // LSP reappears only in snapshot X+2, but j=1 only looks at X+1.
-  const auto result = apply_filters(cycle, {empty, with_lsp}, config);
+  const auto result =
+      apply_filters(cycle, std::vector{empty, with_lsp}, config);
   EXPECT_EQ(result.stats.after_persistence, 0u);
 }
 
@@ -144,7 +146,7 @@ TEST(Filters, DynamicAsReinjectedAndTagged) {
                         obs(65002, 5, 6, {300}, 10)});
   const auto next1 = snap_of({obs(65001, 1, 2, {200}, 9),   // new labels
                               obs(65002, 5, 6, {300}, 9)}); // stable
-  const auto result = apply_filters(cycle, {next1}, FilterConfig{});
+  const auto result = apply_filters(cycle, std::vector{next1}, FilterConfig{});
   EXPECT_TRUE(result.dynamic_asns.contains(65001));
   EXPECT_FALSE(result.dynamic_asns.contains(65002));
   EXPECT_EQ(result.stats.after_persistence, 4u);  // everything kept
@@ -155,7 +157,7 @@ TEST(Filters, PartialChurnIsNotDynamic) {
   auto cycle = snap_of({obs(65001, 1, 2, {100}, 9),
                         obs(65001, 1, 2, {101}, 10)});
   const auto next1 = snap_of({obs(65001, 1, 2, {100}, 9)});
-  const auto result = apply_filters(cycle, {next1}, FilterConfig{});
+  const auto result = apply_filters(cycle, std::vector{next1}, FilterConfig{});
   EXPECT_FALSE(result.dynamic_asns.contains(65001));
   EXPECT_EQ(result.stats.after_persistence, 1u);
 }
@@ -175,7 +177,8 @@ TEST(Filters, StatsChainMonotone) {
                         obs(65001, 3, 4, {3}, 9),
                         obs(65001, 3, 4, {3}, 10),
                         obs(65001, 7, 8, {4}, 9)});
-  const auto result = apply_filters(cycle, {snap_of({})}, FilterConfig{});
+  const auto result =
+      apply_filters(cycle, std::vector{snap_of({})}, FilterConfig{});
   const auto& s = result.stats;
   EXPECT_GE(s.complete, s.after_intra_as);
   EXPECT_GE(s.after_intra_as, s.after_target_as);
@@ -252,7 +255,8 @@ TEST(FiltersOracle, DynamicReinjectionAtTheThreshold) {
     const auto month = churned_month(persisting);
     const auto result =
         apply_filters(reference::production(month[0]),
-                      {reference::production(month[1])}, FilterConfig{});
+                      std::vector{reference::production(month[1])},
+                      FilterConfig{});
     EXPECT_EQ(result.dynamic_asns.contains(65001), persisting == 3);
     EXPECT_FALSE(result.dynamic_asns.contains(65002));
     EXPECT_EQ(result.stats.after_persistence,

@@ -107,7 +107,7 @@ class Lab {
 
     // Every router answers in the lab; Persistence sees a stable network.
     const auto extracted = lpr::extract_lsps(snap, ip2as_);
-    return lpr::run_pipeline(extracted, {extracted}, {});
+    return lpr::run_pipeline(std::vector{extracted, extracted});
   }
 
   topo::BuildParams lab_params() const;

@@ -86,7 +86,7 @@ TEST(Report, PipelineFromExtractedSnapshots) {
   cycle.stats.lsps_observed = 5;
 
   ExtractedSnapshot next = cycle;  // everything persists
-  const CycleReport report = run_pipeline(cycle, {next}, {});
+  const CycleReport report = run_pipeline(std::vector{cycle, next});
 
   EXPECT_EQ(report.cycle_id, 7u);
   EXPECT_EQ(report.date, "2012-08");
@@ -105,9 +105,62 @@ TEST(Report, DynamicTagSurfacesInReport) {
   cycle.observations = reference::table_of({obs(65001, 1, 100, 9), obs(65001, 1, 101, 10)});
   ExtractedSnapshot next;  // labels churned away entirely
   next.observations = reference::table_of({obs(65001, 1, 500, 9)});
-  const CycleReport report = run_pipeline(cycle, {next}, {});
+  const CycleReport report = run_pipeline(std::vector{cycle, next});
   ASSERT_TRUE(report.dynamic_as.contains(65001));
   EXPECT_TRUE(report.dynamic_as.at(65001));
+}
+
+// A one-element month is the cycle snapshot with no following ones: with
+// Persistence on, nothing can reappear, so every AS is wiped, reinjected
+// and tagged dynamic — exactly apply_filters over an empty `following`.
+TEST(Report, OneSnapshotMonthReinjectsEveryAs) {
+  ExtractedSnapshot cycle;
+  cycle.cycle_id = 3;
+  cycle.observations = reference::table_of(
+      {obs(65001, 1, 100, 9), obs(65001, 1, 101, 10), obs(65002, 5, 300, 9),
+       obs(65002, 5, 300, 10)});
+  cycle.stats.lsps_observed = 4;
+  const CycleReport report = run_pipeline({&cycle, 1});
+
+  const FilteredCycle filtered = apply_filters(cycle, {}, FilterConfig{});
+  EXPECT_EQ(filtered.dynamic_asns.size(), 2u);
+  EXPECT_EQ(filtered.stats.after_persistence,
+            filtered.stats.after_transit_diversity);
+  EXPECT_EQ(report.filter_stats.after_persistence,
+            filtered.stats.after_persistence);
+  EXPECT_EQ(report.dynamic_as.size(), filtered.dynamic_asns.size());
+  for (const std::uint32_t asn : filtered.dynamic_asns) {
+    EXPECT_TRUE(report.dynamic_as.at(asn));
+  }
+  std::vector<IotpRecord> iotps = group_iotps(filtered.observations);
+  EXPECT_EQ(report.global.total(), classify_all(iotps).total());
+  reference::expect_same_records(report.iotps, iotps);
+}
+
+// Persistence consults month[1..persistence_j] only: snapshots past j
+// change nothing, even when they would have kept an LSP.
+TEST(Report, SnapshotsPastPersistenceJAreIgnored) {
+  ExtractedSnapshot cycle;
+  cycle.observations = reference::table_of(
+      {obs(65001, 1, 100, 9), obs(65001, 1, 100, 10), obs(65001, 1, 101, 9),
+       obs(65001, 1, 101, 10), obs(65002, 5, 300, 9),
+       obs(65002, 5, 300, 10)});
+  ExtractedSnapshot next;  // keeps AS65001's label 100 and AS65002
+  next.observations = reference::table_of(
+      {obs(65001, 1, 100, 9), obs(65002, 5, 300, 9)});
+  ExtractedSnapshot extra = cycle;  // would keep everything
+  PipelineConfig j1;
+  j1.filter.persistence_j = 1;
+
+  const CycleReport within = run_pipeline(std::vector{cycle, next}, j1);
+  const CycleReport longer =
+      run_pipeline(std::vector{cycle, next, extra, extra}, j1);
+  EXPECT_EQ(within.filter_stats.after_persistence, 4u);
+  EXPECT_EQ(longer.to_json(true), within.to_json(true));
+  j1.filter.persistence_j = 2;  // now the extra snapshot counts
+  EXPECT_EQ(run_pipeline(std::vector{cycle, next, extra}, j1)
+                .filter_stats.after_persistence,
+            6u);
 }
 
 TEST(Report, AsSeriesTracksCycles) {
@@ -120,7 +173,7 @@ TEST(Report, AsSeriesTracksCycles) {
                             obs(65001, 1, 100, 10)});
     }
     ExtractedSnapshot next = cycle;
-    longitudinal.cycles.push_back(run_pipeline(cycle, {next}, {}));
+    longitudinal.cycles.push_back(run_pipeline(std::vector{cycle, next}));
   }
   const auto series = longitudinal.as_series(65001);
   ASSERT_EQ(series.size(), 3u);
@@ -146,12 +199,12 @@ TEST(Report, AliasHeuristicConfigPlumbsThrough) {
   const ExtractedSnapshot next = cycle;
 
   PipelineConfig plain;
-  const auto without = run_pipeline(cycle, {next}, plain);
+  const auto without = run_pipeline(std::vector{cycle, next}, plain);
   EXPECT_EQ(without.global.unclassified, 1u);
 
   PipelineConfig with_alias;
   with_alias.classify.alias_resolution_heuristic = true;
-  const auto with = run_pipeline(cycle, {next}, with_alias);
+  const auto with = run_pipeline(std::vector{cycle, next}, with_alias);
   EXPECT_EQ(with.global.unclassified, 0u);
   EXPECT_EQ(with.global.mono_fec, 1u);
 }

@@ -294,15 +294,18 @@ TEST(Pack, ParityAcrossThreadCounts) {
   // ...yields the in-memory month's LPR report, byte for byte, at any
   // thread count.
   const lpr::CycleReport baseline =
-      lpr::run_pipeline(month, runner.ip2as(), {}, nullptr);
+      lpr::run_pipeline(lpr::extract_month(month, runner.ip2as()));
   ASSERT_GT(baseline.global.total(), 0u);
   const std::string want = baseline.to_json(true);
-  EXPECT_EQ(lpr::run_pipeline(reingested, runner.ip2as(), {}, nullptr)
-                .to_json(true),
-            want);
+  EXPECT_EQ(
+      lpr::run_pipeline(lpr::extract_month(reingested, runner.ip2as()))
+          .to_json(true),
+      want);
   for (const unsigned threads : {2u, 4u}) {
     util::ThreadPool pool(threads);
-    EXPECT_EQ(lpr::run_pipeline(reingested, runner.ip2as(), {}, &pool)
+    EXPECT_EQ(lpr::run_pipeline(
+                  lpr::extract_month(reingested, runner.ip2as(), &pool), {},
+                  &pool)
                   .to_json(true),
               want);
   }

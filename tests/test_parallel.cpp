@@ -291,8 +291,8 @@ TEST(Determinism, StreamedMonthAt16ThreadsMatchesSerialMaterialized) {
   const gen::CampaignRunner serial(internet, ip2as);
   gen::DeltaEvolver serial_world(internet);
   for (const int cycle : {50, 51}) {
-    const auto streamed = test::streamed_month(
-        streaming, streamed_world, cycle, streaming.config(), ip2as);
+    const auto streamed = run::extract_streamed_month(
+        streaming, streamed_world, cycle, streaming.config());
     const auto month = serial.month(serial_world, cycle);
     ASSERT_EQ(streamed.size(), month.snapshots.size());
     for (std::size_t sub = 0; sub < streamed.size(); ++sub) {
@@ -334,8 +334,9 @@ TEST(Determinism, ClassifyAllShardedMatchesSerial) {
 
   // Two independent pipeline runs over the same month, one sharded.
   const auto month = gen::CampaignRunner(internet, ip2as).month(50);
-  const auto serial = lpr::run_pipeline(month, ip2as, {});
-  const auto parallel = lpr::run_pipeline(month, ip2as, {}, &pool);
+  const auto serial = lpr::run_pipeline(lpr::extract_month(month, ip2as));
+  const auto parallel = lpr::run_pipeline(
+      lpr::extract_month(month, ip2as, &pool), {}, &pool);
   EXPECT_EQ(serial.to_json(true), parallel.to_json(true));
 }
 

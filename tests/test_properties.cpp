@@ -135,8 +135,8 @@ TEST_P(PropertySweep, ExtractionNeverInventsLabels) {
 
 TEST_P(PropertySweep, FilterChainMonotone) {
   const auto extracted = lpr::extract_lsps(snapshot, ip2as);
-  const auto filtered = lpr::apply_filters(extracted, {extracted},
-                                           lpr::FilterConfig{});
+  const auto filtered =
+      lpr::apply_filters(extracted, {&extracted, 1}, lpr::FilterConfig{});
   const auto& s = filtered.stats;
   EXPECT_LE(s.complete, s.observed);
   EXPECT_LE(s.after_intra_as, s.complete);
@@ -147,8 +147,8 @@ TEST_P(PropertySweep, FilterChainMonotone) {
 
 TEST_P(PropertySweep, ClassifiedIotpInvariants) {
   const auto extracted = lpr::extract_lsps(snapshot, ip2as);
-  const auto filtered = lpr::apply_filters(extracted, {extracted},
-                                           lpr::FilterConfig{});
+  const auto filtered =
+      lpr::apply_filters(extracted, {&extracted, 1}, lpr::FilterConfig{});
   auto iotps = lpr::group_iotps(filtered.observations);
   lpr::classify_all(iotps);
   for (const auto& rec : iotps) {

@@ -425,31 +425,23 @@ int run_classify(Args& args, std::ostream& out, std::ostream& err) {
   LoadedData& data = *loaded.data;
 
   dataset::MonthData month;
-  month.cycle_id = data.snapshots.front().cycle_id;
-  month.date = data.snapshots.front().date;
   month.snapshots = std::move(data.snapshots);
+  const auto extracted = lpr::extract_month(month, data.ip2as, &pool);
 
   lpr::PipelineConfig pipeline;
   pipeline.filter.persistence_j = static_cast<int>(j);
-  pipeline.filter.enable_persistence = j > 0 && month.snapshots.size() > 1;
+  pipeline.filter.enable_persistence = j > 0 && extracted.size() > 1;
   pipeline.classify.alias_resolution_heuristic = alias;
-  lpr::CycleReport report =
-      lpr::run_pipeline(month, data.ip2as, pipeline, &pool);
+  lpr::CycleReport report = lpr::run_pipeline(extracted, pipeline, &pool);
   report.decode = std::move(data.decode);
 
   if (router_level) {
     // Re-group at router granularity (Sec.-5 extension): passive alias
     // inference over the cycle data, endpoints canonicalized, classes
-    // recomputed.
-    const auto extracted =
-        lpr::extract_lsps(month.cycle(), data.ip2as);
-    std::vector<lpr::ExtractedSnapshot> following;
-    for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-      following.push_back(
-          lpr::extract_lsps(month.snapshots[i], data.ip2as));
-    }
-    const auto filtered =
-        lpr::apply_filters(extracted, following, pipeline.filter);
+    // recomputed — over the same extracted month.
+    const auto filtered = lpr::apply_filters(
+        extracted[0], {extracted.begin() + 1, extracted.end()},
+        pipeline.filter);
     const lpr::LabelAliasResolver resolver(filtered.observations,
                                            month.cycle().traces);
     auto iotps = lpr::group_iotps(
@@ -490,15 +482,11 @@ int run_trees(Args& args, std::ostream& out, std::ostream& err) {
   // Same filtering as classify, without Persistence when only one file.
   dataset::MonthData month;
   month.snapshots = std::move(data.snapshots);
-  const auto extracted =
-      lpr::extract_lsps(month.snapshots.front(), data.ip2as);
-  std::vector<lpr::ExtractedSnapshot> following;
-  for (std::size_t i = 1; i < month.snapshots.size(); ++i) {
-    following.push_back(lpr::extract_lsps(month.snapshots[i], data.ip2as));
-  }
+  const auto extracted = lpr::extract_month(month, data.ip2as);
   lpr::FilterConfig filter;
-  filter.enable_persistence = !following.empty();
-  const auto filtered = lpr::apply_filters(extracted, following, filter);
+  filter.enable_persistence = extracted.size() > 1;
+  const auto filtered = lpr::apply_filters(
+      extracted[0], {extracted.begin() + 1, extracted.end()}, filter);
 
   const auto trees = lpr::build_egress_trees(filtered.observations);
   const auto stats = lpr::summarize(trees);
