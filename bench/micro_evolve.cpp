@@ -117,8 +117,6 @@ void run_evolve(benchmark::State& state, bool churn) {
   state.counters["lsps"] =
       static_cast<double>(lsp_count(*w.internet, *evolver.context()));
   state.counters["ases_restored"] = static_cast<double>(stats.ases_restored);
-  state.counters["ases_te_rebuilt"] =
-      static_cast<double>(stats.ases_te_rebuilt);
   state.counters["ases_rebuilt"] = static_cast<double>(stats.ases_rebuilt);
   state.counters["spf_recomputed"] =
       static_cast<double>(stats.spf_sources_recomputed);

@@ -2,13 +2,15 @@
 # Tier-1 gate: full build + test suite, then a ThreadSanitizer pass over the
 # parallel execution layer (tests/test_parallel) to catch data races the
 # functional tests cannot, then an ASan+UBSan pass over the tolerant-ingest
-# layer (decoder fuzz corpus + chaos, dataset and batch tests) and the LPR
-# LSP table (extract, filter, alias and tree tests) to catch memory errors
-# arbitrary bytes or bad pool offsets could trigger. On top of that: a failpoint matrix (every io fault
-# class injected at 2% must leave a campaign contained), a kill/resume
-# torture loop (real process kills at fixed io-op ordinals; resumed runs
-# must be byte-identical to an uninterrupted one) and a resume that
-# re-ingests every cycle from its data shards.
+# layer (decoder fuzz corpus + chaos, dataset and batch tests), the LPR
+# LSP table (extract, filter, alias and tree tests) and the closed-form LDP
+# plane (mpls and LDP oracle tests) to catch memory errors arbitrary bytes,
+# bad pool offsets or bad per-router indexing could trigger. On top of
+# that: a failpoint matrix (every io fault class injected at 2% must leave
+# a campaign contained), a kill/resume torture loop (real process kills at
+# fixed io-op ordinals; resumed runs must be byte-identical to an
+# uninterrupted one) and a resume that re-ingests every cycle from its data
+# shards.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
@@ -106,7 +108,7 @@ cmake --build "$tsan_build" -j --target test_parallel --target test_obs \
 "$tsan_build/tests/test_evolve"
 "$tsan_build/tests/test_batch"
 
-echo "== tier-1: ASan+UBSan pass over tolerant ingest and the LSP table ($asan_build) =="
+echo "== tier-1: ASan+UBSan pass over tolerant ingest, the LSP table and LDP ($asan_build) =="
 cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
 # test_batch's damaged-pack ingest and the fuzzer's round-trip arm both
 # drive the zero-copy column views over hostile bytes; test_dataset's
@@ -116,10 +118,15 @@ cmake -B "$asan_build" -S "$repo" -DMUM_ASAN=ON
 # pooled LSR and label arrays (lpr::LspTable), indexed by offsets that
 # extraction writes, stitching and filtering rebase, and the alias rewrite
 # rehashes: test_extract, test_filters, test_alias and test_tree drive all
-# of them, against the object-based oracle where it applies.
+# of them, against the object-based oracle where it applies. The LDP plane
+# answers label_of by index arithmetic over per-router arrays (component,
+# FEC rank, pool start, the wrap): test_mpls and test_ldp_reference drive
+# it on disconnected, wrapping and generated worlds against the all-pairs
+# oracle.
 cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
   --target test_batch --target test_dataset --target test_extract \
-  --target test_filters --target test_alias --target test_tree
+  --target test_filters --target test_alias --target test_tree \
+  --target test_mpls --target test_ldp_reference
 "$asan_build/tools/fuzz_warts" --iters 10000
 "$asan_build/tests/test_chaos"
 "$asan_build/tests/test_batch"
@@ -128,5 +135,7 @@ cmake --build "$asan_build" -j --target fuzz_warts --target test_chaos \
 "$asan_build/tests/test_filters"
 "$asan_build/tests/test_alias"
 "$asan_build/tests/test_tree"
+"$asan_build/tests/test_mpls"
+"$asan_build/tests/test_ldp_reference"
 
 echo "== tier-1: OK =="

@@ -78,7 +78,15 @@ void LongitudinalReport::to_table(std::ostream& os) const {
 CycleReport run_pipeline(std::span<const ExtractedSnapshot> month,
                          const PipelineConfig& config,
                          util::ThreadPool* pool) {
-  const ExtractedSnapshot& cycle = month.front();
+  const FilteredCycle filtered =
+      apply_filters(month.front(), month.subspan(1), config.filter);
+  return cycle_report(month.front(), filtered, config.classify, pool);
+}
+
+CycleReport cycle_report(const ExtractedSnapshot& cycle,
+                         const FilteredCycle& filtered,
+                         const ClassifyConfig& config,
+                         util::ThreadPool* pool) {
   static obs::Counter& pipeline_runs =
       obs::registry().counter("lpr.pipeline_runs");
   static obs::Counter& traces = obs::registry().counter("lpr.traces");
@@ -91,13 +99,10 @@ CycleReport run_pipeline(std::span<const ExtractedSnapshot> month,
   report.cycle_id = cycle.cycle_id;
   report.date = cycle.date;
   report.extract_stats = cycle.stats;
-
-  FilteredCycle filtered =
-      apply_filters(cycle, month.subspan(1), config.filter);
   report.filter_stats = filtered.stats;
 
   report.iotps = group_iotps(filtered.observations);
-  report.global = classify_all(report.iotps, config.classify, pool);
+  report.global = classify_all(report.iotps, config, pool);
 
   for (const IotpRecord& rec : report.iotps) {
     report.per_as[rec.key.asn].add(rec);

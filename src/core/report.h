@@ -76,6 +76,15 @@ CycleReport run_pipeline(std::span<const ExtractedSnapshot> month,
                          const PipelineConfig& config = {},
                          util::ThreadPool* pool = nullptr);
 
+// The back half of run_pipeline: the report of `cycle` from its filtered
+// observations, grouped into IOTPs, classified and tallied per AS. A caller
+// that rewrites the survivors first (router-level regrouping) calls
+// apply_filters, then this.
+CycleReport cycle_report(const ExtractedSnapshot& cycle,
+                         const FilteredCycle& filtered,
+                         const ClassifyConfig& config = {},
+                         util::ThreadPool* pool = nullptr);
+
 // Longitudinal container: one report per cycle.
 struct LongitudinalReport : Report {
   std::vector<CycleReport> cycles;

@@ -229,10 +229,8 @@ dataset::MonthData CampaignRunner::probe_month(MonthContext& ctx, int cycle,
   dataset::MonthData month;
   month.cycle_id = static_cast<std::uint32_t>(cycle);
   month.date = cycle_date(cycle);
-  util::Rng dyn_rng(util::hash_combine(internet_->config().seed,
-                                       0xD1Aull + cycle));
   for (int s = 0; s <= config.extra_snapshots; ++s) {
-    if (s > 0) ctx.advance_dynamics(dyn_rng);
+    if (s > 0) ctx.advance_dynamics();
     if (sink != nullptr) {
       probe_blocks(ctx, cycle, s, config, sink);
     } else {
@@ -247,8 +245,6 @@ std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
   const Internet& internet = *internet_;
   std::vector<dataset::SnapshotBatch> out;
   out.reserve(static_cast<std::size_t>(days));
-  util::Rng dyn_rng(util::hash_combine(internet.config().seed,
-                                       0xDA1ull + cycle));
   // One standing world for the whole month: deployment ramps are
   // day-resolved, and a new day of the same cycle is one evolver step (a
   // pristine rollback plus the per-AS profile re-evaluation) — byte-
@@ -256,7 +252,7 @@ std::vector<dataset::SnapshotBatch> CampaignRunner::daily_month(
   DeltaEvolver evolver(internet, pool_);
   for (int day = 1; day <= days; ++day) {
     MonthContext& ctx = evolver.evolve_to(cycle, day);
-    if (day > 1) ctx.advance_dynamics(dyn_rng);
+    if (day > 1) ctx.advance_dynamics();
 
     CampaignConfig day_config = config_;
     // Fleet-size wobble (the paper notes "the number of considered

@@ -8,6 +8,21 @@
 #include "util/rng.h"
 
 namespace mum::gen {
+namespace {
+
+// True when a profile transition changes the AS's label pools, LDP plane or
+// RSVP-TE mesh, so the evolver rebuilds its planes. Every other field is an
+// observation scalar updated in place (Internet::apply_profile_scalars).
+bool planes_changed(const ProfileSnapshot& a, const ProfileSnapshot& b) {
+  return a.mpls_enabled != b.mpls_enabled || a.ldp != b.ldp ||
+         a.php != b.php || a.fec_all_loopbacks != b.fec_all_loopbacks ||
+         a.te_pair_share != b.te_pair_share ||
+         a.te_lsps_min != b.te_lsps_min || a.te_lsps_max != b.te_lsps_max ||
+         a.te_diverse_route_prob != b.te_diverse_route_prob ||
+         a.te_frr != b.te_frr || a.ldp_over_te_share != b.ldp_over_te_share;
+}
+
+}  // namespace
 
 MonthContext& DeltaEvolver::evolve_to(int cycle, int day_of_month) {
   if (!ctx_ || poisoned_ || cycle < ctx_->cycle()) {
@@ -99,14 +114,10 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
     const bool epoch_changed = epoch != planes->label_epoch;
     planes->label_epoch = epoch;
 
-    if (ldp_structural_changed(planes->profile, profile)) {
+    if (overlay_changed || epoch_changed ||
+        planes_changed(planes->profile, profile)) {
       internet_->build_as_planes(asn, as, profile, *planes);
       ++st.ases_rebuilt;
-      if (planes->rsvp) st.lsps_signalled += planes->rsvp->lsp_count();
-    } else if (overlay_changed || epoch_changed ||
-               te_structural_changed(planes->profile, profile)) {
-      internet_->build_te_planes(asn, as, profile, *planes);
-      ++st.ases_te_rebuilt;
       if (planes->rsvp) st.lsps_signalled += planes->rsvp->lsp_count();
     } else {
       Internet::apply_profile_scalars(profile, *planes);
@@ -118,7 +129,6 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
 
   for (const CycleDeltaStats& st : per_as) {
     stats_.ases_rebuilt += st.ases_rebuilt;
-    stats_.ases_te_rebuilt += st.ases_te_rebuilt;
     stats_.ases_restored += st.ases_restored;
     stats_.links_down += st.links_down;
     stats_.links_cost_changed += st.links_cost_changed;
@@ -133,9 +143,6 @@ void DeltaEvolver::step_to(int cycle, int day_of_month) {
 
   obs::registry().counter("evolve.delta_steps").add(1);
   obs::registry().counter("evolve.ases_restored").add(stats_.ases_restored);
-  obs::registry()
-      .counter("evolve.ases_te_rebuilt")
-      .add(stats_.ases_te_rebuilt);
   obs::registry().counter("evolve.ases_rebuilt").add(stats_.ases_rebuilt);
 }
 

@@ -8,9 +8,9 @@
 // and advances it: per-cycle churn (link/metric/router deltas, TE
 // re-signalling epochs) swaps in a fresh lazy IGP state for the ASes whose
 // overlay changed (igp/spf.h: it computes only the SPF rows the TE
-// re-signalling and the month's routes ask for) and re-signals their TE
-// mesh; untouched ASes are merely rolled back to their pristine
-// start-of-month state.
+// re-signalling and the month's routes ask for) and rebuilds their planes,
+// as does a profile change; untouched ASes are merely rolled back to their
+// pristine start-of-month state.
 //
 // Determinism contract (the oracle property, enforced by tests/test_evolve):
 // every per-cycle delta is a pure function of (seed, asn, cycle), so a
@@ -33,14 +33,13 @@ struct CycleDeltaStats {
   int cycle = -1;
   bool full_build = false;  // from-scratch instantiate (first cycle/fallback)
   std::size_t ases_total = 0;
-  std::size_t ases_rebuilt = 0;     // LDP-structural: full per-AS rebuild
-  std::size_t ases_te_rebuilt = 0;  // TE mesh re-signalled only
-  std::size_t ases_restored = 0;    // pristine rollback only
+  std::size_t ases_rebuilt = 0;   // per-AS planes rebuilt
+  std::size_t ases_restored = 0;  // pristine rollback only
   std::size_t links_down = 0;          // overlay down links, all ASes
   std::size_t links_cost_changed = 0;  // overlay metric overrides, all ASes
   std::size_t spf_sources_total = 0;       // routers of overlay-changed ASes
   std::size_t spf_sources_recomputed = 0;  // SPF rows computed by the step
-  std::size_t lsps_signalled = 0;  // TE LSPs signed by rebuilt/re-signed ASes
+  std::size_t lsps_signalled = 0;  // TE LSPs signalled by rebuilt ASes
 };
 
 // Owns the standing MonthContext of a campaign and evolves it cycle to

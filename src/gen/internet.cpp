@@ -82,23 +82,6 @@ std::vector<topo::LinkId> route_on(const igp::IgpState& igp,
 
 }  // namespace
 
-// Structural-change predicates for cycle evolution: which profile fields
-// force a rebuild of which plane. Everything else is an observation scalar
-// updated in place (apply_profile_scalars).
-bool ldp_structural_changed(const ProfileSnapshot& a,
-                            const ProfileSnapshot& b) {
-  return a.mpls_enabled != b.mpls_enabled || a.ldp != b.ldp ||
-         a.php != b.php || a.fec_all_loopbacks != b.fec_all_loopbacks;
-}
-
-bool te_structural_changed(const ProfileSnapshot& a,
-                           const ProfileSnapshot& b) {
-  return a.te_pair_share != b.te_pair_share ||
-         a.te_lsps_min != b.te_lsps_min || a.te_lsps_max != b.te_lsps_max ||
-         a.te_diverse_route_prob != b.te_diverse_route_prob ||
-         a.te_frr != b.te_frr || a.ldp_over_te_share != b.ldp_over_te_share;
-}
-
 void MonthContext::restore_pristine() {
   for (auto& [asn, planes] : planes_) {
     for (std::size_t i = 0; i < planes->pools.size(); ++i) {
@@ -193,8 +176,7 @@ void MonthContext::apply_flaps(int sub_index, double flap_prob) {
   }
 }
 
-void MonthContext::advance_dynamics(util::Rng& rng) {
-  (void)rng;
+void MonthContext::advance_dynamics() {
   mutated_ = true;
   for (auto& [asn, planes] : planes_) {
     if (!planes->rsvp) continue;
@@ -215,8 +197,8 @@ void MonthContext::advance_dynamics(util::Rng& rng) {
 Internet::Internet(const GenConfig& config, util::ThreadPool* /*pool*/)
     : config_(config) {
   if (config_.scale_routers > 0) {
-    // Scale the AS count, not the AS size: per-AS LDP state is O(n^2), so
-    // internet-scale worlds are many ~256-router transit networks.
+    // Scale the AS count, not the AS size (that belongs to the shape
+    // profiles): internet-scale worlds are many ~256-router transit networks.
     constexpr std::uint64_t kScaleAsRouters = 256;
     const auto want = static_cast<int>(
         (config_.scale_routers + kScaleAsRouters - 1) / kScaleAsRouters);
@@ -590,10 +572,9 @@ void burn_epoch_labels(std::uint32_t asn, std::uint64_t seed,
   }
 }
 
-// Signal the full RSVP-TE mesh of one AS over `cycle_igp` (the TE block of a
-// from-scratch build; also replayed alone by build_te_planes). Draw order is
-// part of the determinism contract — LSP ids and label sequences must match a
-// full rebuild exactly.
+// Signal the full RSVP-TE mesh of one AS over `cycle_igp`. Draw order is
+// part of the determinism contract — LSP ids and label sequences must match
+// a full rebuild exactly.
 void signal_te_planes(std::uint32_t asn, const ModeledAs& modeled,
                       const ProfileSnapshot& profile,
                       const igp::IgpState& cycle_igp, AsPlanes& planes) {
@@ -781,41 +762,11 @@ void Internet::build_as_planes(std::uint32_t asn, const ModeledAs& modeled,
                                          ldp_config, planes.pools);
       plane.ldp = &*planes.ldp;
     }
-    // Counter snapshot the TE-only rebuild restarts from, then the
-    // re-signalling epoch drift, then the TE mesh over the cycle IGP.
-    planes.pools_after_ldp = pool_states(planes.pools);
+    // The re-signalling epoch drift, then the TE mesh over the cycle IGP.
     burn_epoch_labels(asn, config_.seed, planes.label_epoch, planes.pools);
     signal_te_planes(asn, modeled, profile, cycle_igp, planes);
-  } else {
-    planes.pools_after_ldp.clear();
   }
 
-  apply_profile_scalars(profile, planes);
-  planes.pools_pristine = pool_states(planes.pools);
-  if (planes.rsvp) planes.rsvp->mark_pristine();
-  planes.profile = profile;
-}
-
-void Internet::build_te_planes(std::uint32_t asn, const ModeledAs& modeled,
-                               const ProfileSnapshot& profile,
-                               AsPlanes& planes) const {
-  const igp::IgpState& cycle_igp = planes.cycle_igp(modeled);
-  auto& plane = planes.plane;
-  // Rewind label counters to the post-LDP snapshot and replay the epoch
-  // drift: the fresh TE mesh then draws exactly the label sequence a full
-  // from-scratch build of this profile would.
-  for (std::size_t i = 0; i < planes.pools.size(); ++i) {
-    planes.pools[i].restore(planes.pools_after_ldp[i]);
-  }
-  burn_epoch_labels(asn, config_.seed, planes.label_epoch, planes.pools);
-  planes.rsvp.reset();
-  planes.igp_now.reset();
-  plane.igp = &cycle_igp;
-  plane.rsvp = nullptr;
-  plane.te_policy = probe::TePolicy{};
-  if (profile.mpls_enabled) {
-    signal_te_planes(asn, modeled, profile, cycle_igp, planes);
-  }
   apply_profile_scalars(profile, planes);
   planes.pools_pristine = pool_states(planes.pools);
   if (planes.rsvp) planes.rsvp->mark_pristine();

@@ -87,9 +87,10 @@ struct GenConfig {
 
   // --- scale knobs (`--scale routers=N,lsps=M`) ----------------------------
   // Targets for the synthetic world size. `scale_routers` grows the
-  // background transit AS count with ~256-router shapes (per-AS state is
-  // O(n^2), so scale the AS count, not the AS size); `scale_lsps` sets TE
-  // density so the standing world carries at least that many TE LSPs.
+  // background transit AS count with ~256-router shapes (the AS size stays
+  // with the shape profiles; per-AS state is O(V + E) plus the IGP rows a
+  // month reads); `scale_lsps` sets TE density so the standing world
+  // carries at least that many TE LSPs.
   std::uint64_t scale_routers = 0;  // 0 = off
   std::uint64_t scale_lsps = 0;     // 0 = off
 };
@@ -172,10 +173,8 @@ struct AsPlanes {
   // base ModeledAs::igp is then the cycle state). TE LSPs signal over this.
   std::optional<igp::IgpState> igp_cycle;
   std::uint32_t label_epoch = 0;  // TE re-signalling epochs up to this cycle
-  // Label-counter snapshots: after the LDP build (the base TE-only rebuilds
-  // restart from) and after the full pristine build (what restore_pristine
-  // rewinds to, undoing intra-month re-signalling draws).
-  std::vector<mpls::LabelPool::State> pools_after_ldp;
+  // Label counters after the full pristine build: what restore_pristine
+  // rewinds to, undoing intra-month re-signalling draws.
   std::vector<mpls::LabelPool::State> pools_pristine;
 
   // The IGP state this cycle's routes are computed against.
@@ -187,19 +186,12 @@ struct AsPlanes {
 class Internet;
 class DeltaEvolver;
 
-// True when a profile transition requires rebuilding the AS's LDP plane and
-// label pools from scratch (fields that change LDP label content).
-bool ldp_structural_changed(const ProfileSnapshot& a, const ProfileSnapshot& b);
-// True when a profile transition requires re-signalling the AS's RSVP-TE
-// plane (fields that change the TE LSP set or its label draws).
-bool te_structural_changed(const ProfileSnapshot& a, const ProfileSnapshot& b);
-
 // The control planes of every modelled AS for one month, plus snapshot-level
 // observation state (ECMP flaps, coverage ramp days).
 class MonthContext {
  public:
   // Re-signals TE LSPs of dynamic-label ASes (between snapshots).
-  void advance_dynamics(util::Rng& rng);
+  void advance_dynamics();
   // Sets per-router ECMP salts for snapshot `sub_index` (0 = cycle run).
   void apply_flaps(int sub_index, double flap_prob);
 
@@ -310,11 +302,6 @@ class Internet {
   void build_as_planes(std::uint32_t asn, const ModeledAs& as,
                        const ProfileSnapshot& profile,
                        AsPlanes& planes) const;
-  // TE-only rebuild: rewinds pools to the post-LDP snapshot, replays the
-  // epoch burn, and re-signals the RSVP-TE plane; the LDP plane and its
-  // label content are untouched.
-  void build_te_planes(std::uint32_t asn, const ModeledAs& as,
-                       const ProfileSnapshot& profile, AsPlanes& planes) const;
   // Updates the cheap per-snapshot observation scalars from `profile`.
   static void apply_profile_scalars(const ProfileSnapshot& profile,
                                     AsPlanes& planes);

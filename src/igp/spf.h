@@ -105,6 +105,8 @@ class IgpState {
   bool reachable(topo::RouterId at, topo::RouterId dst) const {
     return component_[at] == component_[dst];
   }
+  // Label of `r`'s connected component: the lowest router id in it.
+  std::uint32_t component(topo::RouterId r) const { return component_[r]; }
 
   std::size_t router_count() const noexcept { return n_; }
   // Links this state excludes (the union of `link_down` and the overlay's

@@ -31,14 +31,12 @@ std::uint32_t LabelPool::allocate() noexcept {
 void LabelPool::burn(std::uint64_t n) noexcept {
   if (n == 0) return;
   // Exactly n allocate() calls, in O(1): the last value emitted is
-  // first + (p + n - 1) % width, and next_ is left one past it (possibly
-  // un-normalized past `last`, just as allocate() leaves it).
+  // first + (offset() + n - 1) % width, and next_ is left one past it
+  // (possibly un-normalized past `last`, just as allocate() leaves it).
   const std::uint64_t width =
       std::uint64_t{range_.last} - range_.first + 1;
-  const std::uint64_t p = (next_ > range_.last || next_ < range_.first)
-                              ? 0
-                              : next_ - range_.first;
-  next_ = range_.first + static_cast<std::uint32_t>((p + n - 1) % width) + 1;
+  next_ = range_.first +
+          static_cast<std::uint32_t>((offset() + n - 1) % width) + 1;
   count_ += n;
 }
 

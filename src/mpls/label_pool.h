@@ -58,6 +58,12 @@ class LabelPool {
   // Fig. 17 label motion), in O(1) regardless of n.
   void burn(std::uint64_t n) noexcept;
 
+  // Position in the range of the label the next allocate() returns.
+  std::uint32_t offset() const noexcept {
+    return next_ > range_.last || next_ < range_.first ? 0
+                                                       : next_ - range_.first;
+  }
+
   // Number of labels handed out so far.
   std::uint64_t allocated() const noexcept { return count_; }
   const LabelRange& range() const noexcept { return range_; }

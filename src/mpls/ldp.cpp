@@ -7,45 +7,32 @@ LdpPlane LdpPlane::build(const topo::AsTopology& topo,
                          std::vector<LabelPool>& pools) {
   LdpPlane plane;
   plane.config_ = config;
-  plane.n_ = topo.router_count();
-  plane.labels_.assign(plane.n_ * plane.n_, kNoLabel);
+  const std::size_t n = topo.router_count();
+  plane.routers_.resize(n);
 
-  std::vector<std::uint8_t> candidate(plane.n_, 0);
-  for (topo::RouterId fec = 0; fec < plane.n_; ++fec) {
-    candidate[fec] = config.fec_all_loopbacks || topo.router(fec).is_border;
+  // Component labels are router ids, so candidates are counted per label in
+  // ascending router id: each candidate's rank, then each component's total.
+  std::vector<std::uint32_t> candidates(n, 0);
+  for (topo::RouterId r = 0; r < n; ++r) {
+    Router& router = plane.routers_[r];
+    router.component = igp.component(r);
+    router.candidate = config.fec_all_loopbacks || topo.router(r).is_border;
+    router.rank = candidates[router.component];
+    if (router.candidate) ++candidates[router.component];
   }
 
-  // Router-major order: contiguous walks over each router's label row.
-  // Each per-router pool still allocates in ascending-FEC order, so the
-  // label assignment is identical to the FEC-major loop. Reachability comes
-  // from the IGP's component labels, so binding forces no SPF row.
-  for (topo::RouterId r = 0; r < plane.n_; ++r) {
-    for (topo::RouterId fec = 0; fec < plane.n_; ++fec) {
-      if (!candidate[fec]) continue;
-      if (r == fec) {
-        plane.labels_[r * plane.n_ + fec] =
-            config.php ? net::kLabelImplicitNull
-                       : pools[r].allocate();
-        continue;
-      }
-      if (!igp.reachable(r, fec)) continue;
-      // Downstream unsolicited, liberal retention: every reachable router
-      // binds one label per FEC and advertises it to all neighbours.
-      plane.labels_[r * plane.n_ + fec] = pools[r].allocate();
-    }
+  // Downstream unsolicited, liberal retention: every router binds one label
+  // per candidate FEC of its component (its own loopback only without PHP)
+  // and advertises it to all neighbours.
+  for (topo::RouterId r = 0; r < n; ++r) {
+    Router& router = plane.routers_[r];
+    router.start = pools[r].offset();
+    router.range = pools[r].range();
+    const std::uint64_t bindings = candidates[router.component] -
+                                   (config.php && router.candidate ? 1 : 0);
+    pools[r].burn(bindings);
   }
   return plane;
-}
-
-std::uint32_t LdpPlane::label_of(topo::RouterId r, topo::RouterId fec) const {
-  return labels_.at(r * n_ + fec);
-}
-
-bool LdpPlane::has_fec(topo::RouterId fec) const {
-  for (std::size_t r = 0; r < n_; ++r) {
-    if (labels_[r * n_ + fec] != kNoLabel) return true;
-  }
-  return false;
 }
 
 }  // namespace mum::mpls

@@ -138,8 +138,6 @@ std::string RunManifest::to_json() const {
       json.field("full_build", d.full_build);
       json.field("ases_total", static_cast<std::uint64_t>(d.ases_total));
       json.field("ases_rebuilt", static_cast<std::uint64_t>(d.ases_rebuilt));
-      json.field("ases_te_rebuilt",
-                 static_cast<std::uint64_t>(d.ases_te_rebuilt));
       json.field("ases_restored",
                  static_cast<std::uint64_t>(d.ases_restored));
       json.field("links_down", static_cast<std::uint64_t>(d.links_down));

@@ -9,7 +9,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/alias.h"
+#include "core/extract.h"
+#include "core/report.h"
 #include "dataset/ip2as.h"
+#include "dataset/snapshot_source.h"
 
 namespace mum::cli {
 namespace {
@@ -196,6 +200,63 @@ TEST_F(CliPipeline, DeterministicAcrossRuns) {
   sb << b.rdbuf();
   EXPECT_EQ(sa.str(), sb.str());
   EXPECT_FALSE(sa.str().empty());
+}
+
+// `classify --router-level --json` over a two-snapshot month equals the
+// address-level pipeline with its IOTPs regrouped at router granularity:
+// same extract and filter sections, classes recomputed over the
+// alias-canonicalized survivors.
+TEST_F(CliPipeline, ClassifyRouterLevelJson) {
+  std::string out;
+  ASSERT_EQ(run_cmd({"generate", "--out", dir_.string(), "--cycle", "50",
+                     "--small", "--snapshots", "2"},
+                    &out),
+            0)
+      << out;
+  const auto files = snapshot_files();
+  ASSERT_EQ(files.size(), 2u);
+  const std::string table = (dir_ / "ip2as.txt").string();
+
+  std::string json;
+  ASSERT_EQ(run_cmd({"classify", "--router-level", "--json", "--ip2as",
+                     table, files[0], files[1]},
+                    &json),
+            0)
+      << json;
+
+  // The expected output, assembled as the address-level report with its
+  // classes overwritten by the router-level regroup.
+  std::ifstream table_in(table);
+  std::stringstream table_text;
+  table_text << table_in.rdbuf();
+  const auto ip2as = dataset::ip2as_from_text(table_text.str());
+  ASSERT_TRUE(ip2as.has_value());
+  dataset::MonthData month;
+  const auto source = dataset::make_file_source(files, {}, nullptr);
+  while (auto snap = source->next()) {
+    ip2as->annotate(snap->traces);
+    month.snapshots.push_back(std::move(*snap));
+  }
+  const auto extracted = lpr::extract_month(month, *ip2as, nullptr);
+  lpr::PipelineConfig pipeline;
+  pipeline.filter.enable_persistence = true;
+  lpr::CycleReport report = lpr::run_pipeline(extracted, pipeline);
+  const lpr::FilteredCycle filtered = lpr::apply_filters(
+      extracted[0], std::span(extracted).subspan(1), pipeline.filter);
+  const lpr::LabelAliasResolver resolver(filtered.observations,
+                                         month.cycle().traces);
+  auto iotps = lpr::group_iotps(
+      lpr::to_router_level(filtered.observations, resolver));
+  report.global = lpr::classify_all(iotps, pipeline.classify);
+  report.per_as.clear();
+  for (const auto& rec : iotps) report.per_as[rec.key.asn].add(rec);
+  report.iotps = std::move(iotps);
+  ASSERT_GT(resolver.alias_sets().size(), 0u);
+  ASSERT_GT(report.global.total(), 0u);
+
+  EXPECT_EQ(json, "(router-level IOTPs: " +
+                      std::to_string(resolver.alias_sets().size()) +
+                      " alias sets inferred)\n" + report.to_json() + "\n");
 }
 
 TEST_F(CliPipeline, ErrorsAreReported) {

@@ -74,9 +74,11 @@ struct LineFixture {
 TEST(Ldp, BordersGetFecsByDefault) {
   LineFixture f;
   const LdpPlane plane = LdpPlane::build(f.topo, f.igp, {}, f.pools);
-  EXPECT_TRUE(plane.has_fec(f.a));
-  EXPECT_FALSE(plane.has_fec(f.b));  // not a border
-  EXPECT_TRUE(plane.has_fec(f.c));
+  for (const RouterId r : {f.a, f.b, f.c}) {
+    EXPECT_NE(plane.label_of(r, f.a), LdpPlane::kNoLabel);
+    EXPECT_EQ(plane.label_of(r, f.b), LdpPlane::kNoLabel);  // not a border
+    EXPECT_NE(plane.label_of(r, f.c), LdpPlane::kNoLabel);
+  }
 }
 
 TEST(Ldp, AllLoopbacksModeBindsEverything) {
@@ -84,7 +86,9 @@ TEST(Ldp, AllLoopbacksModeBindsEverything) {
   LdpConfig config;
   config.fec_all_loopbacks = true;
   const LdpPlane plane = LdpPlane::build(f.topo, f.igp, config, f.pools);
-  EXPECT_TRUE(plane.has_fec(f.b));
+  for (const RouterId r : {f.a, f.b, f.c}) {
+    EXPECT_NE(plane.label_of(r, f.b), LdpPlane::kNoLabel);
+  }
 }
 
 TEST(Ldp, PhpAdvertisesImplicitNullAtEgress) {

@@ -428,33 +428,29 @@ int run_classify(Args& args, std::ostream& out, std::ostream& err) {
   month.snapshots = std::move(data.snapshots);
   const auto extracted = lpr::extract_month(month, data.ip2as, &pool);
 
-  lpr::PipelineConfig pipeline;
-  pipeline.filter.persistence_j = static_cast<int>(j);
-  pipeline.filter.enable_persistence = j > 0 && extracted.size() > 1;
-  pipeline.classify.alias_resolution_heuristic = alias;
-  lpr::CycleReport report = lpr::run_pipeline(extracted, pipeline, &pool);
-  report.decode = std::move(data.decode);
-
+  lpr::FilterConfig filter;
+  filter.persistence_j = static_cast<int>(j);
+  filter.enable_persistence = j > 0 && extracted.size() > 1;
+  lpr::FilteredCycle filtered = lpr::apply_filters(
+      extracted[0], std::span(extracted).subspan(1), filter);
   if (router_level) {
     // Re-group at router granularity (Sec.-5 extension): passive alias
-    // inference over the cycle data, endpoints canonicalized, classes
-    // recomputed — over the same extracted month.
-    const auto filtered = lpr::apply_filters(
-        extracted[0], {extracted.begin() + 1, extracted.end()},
-        pipeline.filter);
+    // inference over the cycle data, survivors' endpoints canonicalized
+    // before grouping and classification.
     const lpr::LabelAliasResolver resolver(filtered.observations,
                                            month.cycle().traces);
-    auto iotps = lpr::group_iotps(
-        lpr::to_router_level(filtered.observations, resolver));
-    report.global = lpr::classify_all(iotps, pipeline.classify);
-    report.per_as.clear();
-    for (const auto& rec : iotps) report.per_as[rec.key.asn].add(rec);
-    report.iotps = std::move(iotps);
+    filtered.observations =
+        lpr::to_router_level(filtered.observations, resolver);
     if (!csv) {
       out << "(router-level IOTPs: " << resolver.alias_sets().size()
           << " alias sets inferred)\n";
     }
   }
+  lpr::ClassifyConfig classify;
+  classify.alias_resolution_heuristic = alias;
+  lpr::CycleReport report =
+      lpr::cycle_report(extracted[0], filtered, classify, &pool);
+  report.decode = std::move(data.decode);
 
   if (json || json_iotps) {
     out << report.to_json(json_iotps) << '\n';
